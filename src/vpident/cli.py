@@ -127,8 +127,13 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     if kind == "diag_inverse_cov":
         return WeightingScheme.diagonal(1.0 / np.diag(cov))
     if kind == "full_inverse_cov":
+        # In place, to hold as few N x N matrices at once as possible. numpy
+        # buffers the overlapping inv.T, so the sum equals inv + inv.T.
         inv = np.linalg.inv(cov)
-        return WeightingScheme.full(0.5 * (inv + inv.T))
+        del cov
+        inv += inv.T
+        inv *= 0.5
+        return WeightingScheme.full(inv)
     raise ConfigError(f"unknown weighting kind {kind!r}")
 
 
@@ -202,8 +207,8 @@ def write_cloud(path: str, report: CloudReport) -> None:
 def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
                    history_ids, params_path: str | None, workers: int) -> int:
     base = read_param_file(params_path) if params_path else cfg.truth
-    exp = model_response(base, cfg.material, cfg.program)
     lin = linearize_at(base, cfg.material, cfg.program)
+    exp = lin.mod_star
     metrics = _metric_specs(cfg, history_ids)
 
     summary_rows = []

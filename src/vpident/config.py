@@ -194,12 +194,14 @@ def materialize(raw: dict) -> RunConfig:
     if n_instances < 1:
         raise ConfigError("n_instances must be >= 1")
     master_seed = _number(raw, "master_seed", "", int)
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
 
     histories = raw["histories"]
     if not isinstance(histories, (list, tuple)) or not histories:
         raise ConfigError("histories must be a non-empty list")
     for h in histories:
-        if h not in (1, 2):
+        if isinstance(h, bool) or h not in (1, 2):
             raise ConfigError(f"histories: unknown benchmark history {h!r} (use 1 or 2)")
 
     history_steps = _number(raw, "history_steps", "", int)

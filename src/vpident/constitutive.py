@@ -292,21 +292,25 @@ def _flow_multiplier(f_trial, h_eff, mat: MaterialParams, dt: float):
         x = np.where(done, x, x - phi / dphi)
     else:
         raise StepFailure("implicit flow solve did not converge")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise StepFailure("implicit flow solve produced non-finite values")
     return (x / mat.k0) ** mat.m / mat.eta
 
 
-def _project_metric(a: np.ndarray) -> np.ndarray:
-    """Symmetrize and rescale to det = 1; StepFailure if det drifted to <= 0."""
+def _project_metric(a: np.ndarray):
+    """Symmetrize and rescale to det = 1; StepFailure if det drifted to <= 0.
+
+    Returns the projected tensors and their determinants.
+    """
     a = sym(a)
     d = det(a)
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+    if (d <= 0.0).any() or not np.isfinite(d).all():
         raise StepFailure("inelastic metric lost positive determinant (reduce the time step)")
     out = a / np.cbrt(d)[..., None, None]
-    if np.any(np.abs(det(out) - 1.0) > DET_TOL):
+    d_out = det(out)
+    if (np.abs(d_out - 1.0) > DET_TOL).any():
         raise StepFailure("unimodular projection failed to restore det = 1")
-    return out
+    return out, d_out
 
 
 def _advance(state_arrays, C_new, mat: MaterialParams, hp, dt: float):
@@ -352,15 +356,15 @@ def _advance(state_arrays, C_new, mat: MaterialParams, hp, dt: float):
     lam = np.where(plastic, _flow_multiplier(f_trial, h_eff, mat, dt), 0.0)
 
     scale = 2.0 * dt * lam / safe_drive
-    Ci_new = _project_metric(Ci + scale[..., None, None] * np.matmul(xi, Ci))
-    C1i_new = _project_metric(C1i + (dt * lam * kap1 * c1)[..., None, None] * np.matmul(dev_b1, C1i))
-    C2i_new = _project_metric(C2i + (dt * lam * kap2 * c2)[..., None, None] * np.matmul(dev_b2, C2i))
+    Ci_new, d0 = _project_metric(Ci + scale[..., None, None] * np.matmul(xi, Ci))
+    C1i_new, d1 = _project_metric(C1i + (dt * lam * kap1 * c1)[..., None, None] * np.matmul(dev_b1, C1i))
+    C2i_new, d2 = _project_metric(C2i + (dt * lam * kap2 * c2)[..., None, None] * np.matmul(dev_b2, C2i))
     ok = (
-        is_positive_definite(Ci_new)
-        & is_positive_definite(C1i_new)
-        & is_positive_definite(C2i_new)
+        is_positive_definite(Ci_new, d0)
+        & is_positive_definite(C1i_new, d1)
+        & is_positive_definite(C2i_new, d2)
     )
-    if not np.all(ok | ~plastic):
+    if not (ok | ~plastic).all():
         raise StepFailure("inelastic metric lost positive definiteness (reduce the time step)")
 
     mask = plastic[..., None, None]

@@ -62,7 +62,10 @@ class WeightingScheme:
     only materialized on request. The square root W^(1/2) of a full matrix
     is the symmetric eigendecomposition root by default; a Cholesky factor
     can be requested instead (any factor M with M^T M = W defines the same
-    functional, which the tests pin down).
+    functional, which the tests pin down). A full matrix is checked for
+    positive definiteness by a Cholesky factorization on construction; the
+    O(N^3) symmetric root is only computed by the first whiten() call and
+    then kept, since apply() and quadratic() never need it.
     """
 
     def __init__(self, kind: str, diag: np.ndarray | None = None,
@@ -86,14 +89,13 @@ class WeightingScheme:
             if scale == 0.0 or np.max(np.abs(w - w.T)) > 1.0e-10 * scale:
                 raise FactorizationFailure("weighting matrix must be symmetric")
             w = 0.5 * (w + w.T)
-            vals, vecs = np.linalg.eigh(w)
-            if vals.min() <= 0.0:
-                raise FactorizationFailure("weighting matrix is not positive definite")
-            if root == "sym":
-                self._root = (vecs * np.sqrt(vals)) @ vecs.T
-            elif root == "cholesky":
-                self._root = np.linalg.cholesky(w).T
-            else:
+            try:
+                factor = np.linalg.cholesky(w)
+            except np.linalg.LinAlgError:
+                raise FactorizationFailure("weighting matrix is not positive definite") from None
+            if root == "cholesky":
+                self._root = factor.T
+            elif root != "sym":
                 raise ValueError(f"unknown root method {root!r}")
             self._full = w
 
@@ -149,10 +151,18 @@ class WeightingScheme:
             return float(r @ (self._diag * r))
         return float(r @ r)
 
+    def _sym_root(self) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(self._full)
+        if vals.min() <= 0.0:
+            raise FactorizationFailure("weighting matrix is not positive definite")
+        return (vecs * np.sqrt(vals)) @ vecs.T
+
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """W^(1/2) x for a vector or column-stacked matrix."""
         x = self._check(x)
-        if self._root is not None:
+        if self._full is not None:
+            if self._root is None:
+                self._root = self._sym_root()
             return self._root @ x
         if self._diag is not None:
             s = np.sqrt(self._diag)
@@ -219,6 +229,18 @@ def _fd_from_values(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     for i in range(len(h)):
         jac[:, i] = (values[2 * i] - values[2 * i + 1]) / (2.0 * h[i])
     return jac
+
+
+def response_and_jacobian_fd(p, fixed: MaterialParams,
+                             program: StrainProgram) -> tuple[np.ndarray, np.ndarray]:
+    """model_response and jacobian_fd at p, with the default steps that
+    jacobian_fd and the LM share, from one integrator pass over p and its 2k
+    central-difference probes. Rows of the batch are computed independently,
+    so both equal the separate calls bit for bit."""
+    vec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
+    probes, h = _fd_probes(vec, LMOptions.rel_step, LMOptions.abs_floor)
+    values = model_response_batch(np.vstack([vec[None, :], probes]), fixed, program)
+    return values[0], _fd_from_values(values[1:], h)
 
 
 def _fd_jacobian(pvec: np.ndarray, response_batch: Callable[[np.ndarray], np.ndarray],
@@ -296,7 +318,9 @@ def fit_least_squares(
     The damping parameter grows by lambda_factor on rejected steps and
     shrinks on accepted ones, accepted steps never increase the functional,
     and candidate iterates are clipped to the lower bound before they are
-    evaluated.
+    evaluated. A component sitting at the lower bound whose gradient points
+    below it is held fixed for the iteration: it leaves the damped solve and
+    the gradient test. Without an active bound both see every component.
 
     Without jacobian_fn, every candidate (the start too) is evaluated in one
     response_batch call together with its 2k central-difference probes, so
@@ -358,16 +382,24 @@ def fit_least_squares(
         a = jw.T @ jw
         dcol = np.sqrt(np.diag(a))
         dcol[dcol == 0.0] = 1.0
-        if np.max(np.abs(grad / dcol)) < opts.tol_g:
+        g_scaled = grad / dcol
+        # Clipping the step of a component at the bound whose descent
+        # direction (grad) points below it would spoil every damped step and
+        # leave the fit crawling along the bound, so it is held fixed.
+        free = np.ones(len(p), dtype=bool)
+        if lower_bound is not None:
+            free = ~((p <= lower_bound) & (grad < 0.0))
+        if np.max(np.abs(g_scaled[free]), initial=0.0) < opts.tol_g:
             converged = True
             break
-        a_scaled = a / np.outer(dcol, dcol)
-        g_scaled = grad / dcol
+        a_free = (a / np.outer(dcol, dcol))[np.ix_(free, free)]
+        g_free = g_scaled[free]
 
         accepted = False
         while lam <= opts.lambda_max:
+            q = np.zeros(len(p))
             try:
-                q = np.linalg.solve(a_scaled + lam * np.eye(len(p)), g_scaled)
+                q[free] = np.linalg.solve(a_free + lam * np.eye(len(g_free)), g_free)
             except np.linalg.LinAlgError:
                 lam *= opts.lambda_factor
                 continue

@@ -115,24 +115,32 @@ def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec,
                         workers: int = 1) -> np.ndarray:
     """Stress-metric distance of every row of pvecs to one reference set.
 
-    The cloud is processed in fixed-size chunks against the cached
-    reference trajectory; the chunk size never depends on the worker count,
-    so parallel and sequential runs produce identical numbers.
+    The cloud is processed in fixed-size chunks. The reference is
+    integrated as an extra row 0 of the first chunk, and every chunk is
+    scored against that row's trajectory; batch rows are integrated
+    independently, so this equals a separate reference pass bit for bit.
+    The chunk membership never depends on the worker count, so parallel and
+    sequential runs produce identical numbers.
     """
     pvecs = np.atleast_2d(np.asarray(pvecs, dtype=float))
-    ref_traj = stress_trajectories(spec, _vec(ref)[None, :])[0]
     chunks = [pvecs[i:i + CHUNK] for i in range(0, len(pvecs), CHUNK)]
+    first = stress_trajectories(spec, np.vstack([_vec(ref)[None, :], *chunks[:1]]))
+    ref_traj = first[0].copy()
 
-    def score(chunk: np.ndarray) -> np.ndarray:
-        out = stress_trajectories(spec, chunk)
+    def score(out: np.ndarray) -> np.ndarray:
         diff = out - ref_traj[None]
         return np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
 
-    if workers > 1 and len(chunks) > 1:
+    def integrate_and_score(chunk: np.ndarray) -> np.ndarray:
+        return score(stress_trajectories(spec, chunk))
+
+    parts = [score(first[1:])]
+    del first  # free the first chunk before the next one is integrated
+    if workers > 1 and len(chunks) > 2:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(score, chunks))
+            parts += pool.map(integrate_and_score, chunks[1:])
     else:
-        parts = [score(c) for c in chunks]
+        parts += [integrate_and_score(c) for c in chunks[1:]]
     return np.concatenate(parts)
 
 

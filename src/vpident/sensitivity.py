@@ -28,8 +28,8 @@ from .errors import NonFiniteJacobian, SingularNormalMatrix, ZeroReferenceParame
 from .identify import (
     FitResult,
     WeightingScheme,
-    jacobian_fd,
     model_response,
+    response_and_jacobian_fd,
 )
 from .loading import StrainProgram
 from .metric import MetricSpec, mechanics_distances
@@ -65,12 +65,10 @@ class LinearizedModel:
 
 def linearize_at(p: HardeningParams, fixed: MaterialParams,
                  program: StrainProgram) -> LinearizedModel:
-    """Linearize the model response around an arbitrary parameter set."""
-    return LinearizedModel(
-        p_star=p.as_vector(),
-        mod_star=model_response(p, fixed, program),
-        jacobian=jacobian_fd(p, fixed, program),
-    )
+    """Linearize the model response around an arbitrary parameter set, with
+    Mod(p) and its central-difference Jacobian from one integrator pass."""
+    mod_star, jacobian = response_and_jacobian_fd(p, fixed, program)
+    return LinearizedModel(p_star=p.as_vector(), mod_star=mod_star, jacobian=jacobian)
 
 
 def linearize(fit: FitResult, fixed: MaterialParams,

@@ -63,17 +63,19 @@ def unimodular(a: np.ndarray) -> np.ndarray:
     """Volume-preserving part (det A)^(-1/3) A; requires det A > 0."""
     a = np.asarray(a)
     d = det(a)
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+    if (d <= 0.0).any() or not np.isfinite(d).all():
         raise NonPositiveDeterminant("unimodular part requires det(A) > 0")
     return a / np.cbrt(d)[..., None, None]
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Closed-form cofactor inverse. Raises SingularTensor on det = 0."""
+    """Closed-form cofactor inverse. Raises SingularTensor on det = 0.
+
+    The determinant is expanded along the first row from the cofactors
+    already computed; those are the products and signs of det(), so the
+    bits match it.
+    """
     a = np.asarray(a)
-    d = det(a)
-    if np.any(d == 0.0):
-        raise SingularTensor("inverse of a tensor with zero determinant")
     out = np.empty(a.shape, dtype=float)
     out[..., 0, 0] = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
     out[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
@@ -84,6 +86,9 @@ def inverse(a: np.ndarray) -> np.ndarray:
     out[..., 2, 0] = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
     out[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
     out[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    d = a[..., 0, 0] * out[..., 0, 0] + a[..., 0, 1] * out[..., 1, 0] + a[..., 0, 2] * out[..., 2, 0]
+    if (d == 0.0).any():
+        raise SingularTensor("inverse of a tensor with zero determinant")
     out /= d[..., None, None]
     return out
 
@@ -96,10 +101,13 @@ def symmetry_defect(a: np.ndarray) -> np.ndarray | float:
     return np.where(n > 0.0, d / np.where(n > 0.0, n, 1.0), 0.0)
 
 
-def is_positive_definite(a: np.ndarray) -> np.ndarray | bool:
-    """Sylvester criterion for symmetric input, broadcast over the batch."""
+def is_positive_definite(a: np.ndarray, det_a=None) -> np.ndarray | bool:
+    """Sylvester criterion for symmetric input, broadcast over the batch.
+
+    det_a, if given, is det(a) computed by the caller.
+    """
     a = np.asarray(a)
     m1 = a[..., 0, 0]
     m2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    m3 = det(a)
+    m3 = det(a) if det_a is None else det_a
     return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)

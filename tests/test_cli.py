@@ -68,6 +68,27 @@ def test_env_overrides(tmp_path):
         load_config(None, environ={"VPIDENT_SEED": "notanint"})
 
 
+def test_negative_seed_is_a_config_error(small_config, tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", small_config, "--seed", "-1", "--out", out]) == 2
+    assert "master_seed" in capsys.readouterr().err
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({**SMALL, "master_seed": -3}))
+    assert main(["simulate", "--config", str(path), "--out", out]) == 2
+    monkeypatch.setenv("VPIDENT_SEED", "-1")
+    assert main(["simulate", "--config", small_config, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def test_boolean_history_rejected(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"histories": [True]}))
+    with pytest.raises(ConfigError, match="histories"):
+        load_config(str(path))
+    assert main(["montecarlo", "--config", str(path), "--instances", "2",
+                 "--out", str(tmp_path / "mc")]) == 2
+
+
 def test_default_config_is_json_clean():
     json.dumps(DEFAULT_CONFIG)
 
@@ -188,6 +209,39 @@ def test_montecarlo_reproducible_byte_for_byte(small_config, tmp_path):
     for fname in ("cloud_full_inverse_cov.csv", "mc_summary.csv"):
         assert read_bytes(os.path.join(outs[0], fname)) == \
             read_bytes(os.path.join(outs[1], fname))
+
+
+def test_full_inverse_cov_weighting_is_the_symmetrized_inverse():
+    """build_weighting symmetrizes inv(cov) in place; the matrix must equal
+    0.5 (inv + inv.T) bit for bit. At sigma1 << sigma2 the round-off
+    asymmetry of inv(cov) exceeds the symmetry tolerance of the scheme."""
+    from vpident.cli import build_weighting
+    from vpident.noise import NoiseModel, covariance
+
+    exp = 300.0 * np.sin(np.linspace(0.0, 6.0, 200))
+    for model in (NoiseModel.two_source(10.0, 5.0), NoiseModel.two_source(0.01, 5.0)):
+        inv = np.linalg.inv(covariance(model, exp))
+        scheme = build_weighting("full_inverse_cov", exp, model)
+        assert np.array_equal(scheme.matrix(), 0.5 * (inv + inv.T))
+
+
+def test_montecarlo_integrates_the_base_point_once(small_config, tmp_path, monkeypatch):
+    """Mod(p*) and the Jacobian come from one 13-row pass, and the base
+    response is not integrated again as the experiment."""
+    from vpident import identify
+
+    rows = []
+    batch = identify.model_response_batch
+
+    def counting(pvecs, *args, **kwargs):
+        rows.append(len(pvecs))
+        return batch(pvecs, *args, **kwargs)
+
+    monkeypatch.setattr(identify, "model_response_batch", counting)
+    assert main(["montecarlo", "--config", small_config, "--instances", "4",
+                 "--weighting", "all", "--history", "1",
+                 "--out", str(tmp_path / "mc")]) == 0
+    assert rows == [13]
 
 
 def test_montecarlo_cloud_columns(small_config, tmp_path):

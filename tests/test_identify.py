@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpident import (
     ExperimentData,
@@ -82,6 +84,43 @@ def test_whiten_factor_choices_give_same_functional():
     assert np.linalg.norm(sym.whiten(r)) ** 2 == pytest.approx(
         np.linalg.norm(chol.whiten(r)) ** 2, rel=1e-12
     )
+
+
+def test_full_weighting_computes_its_root_on_first_whiten(monkeypatch):
+    rng = np.random.default_rng(29)
+    w = random_spd_matrix(rng, 7)
+    vals, vecs = np.linalg.eigh(0.5 * (w + w.T))
+    eager = (vecs * np.sqrt(vals)) @ vecs.T
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    scheme = WeightingScheme.full(w)
+    r = rng.normal(size=7)
+    scheme.apply(r)
+    scheme.quadratic(r)
+    assert calls == []
+    assert np.array_equal(scheme.whiten(r), eager @ r)
+    scheme.whiten(np.eye(7))
+    assert calls == [(7, 7)]
+    assert np.array_equal(scheme._root, eager)
+    # the Cholesky factor is kept from construction
+    chol = WeightingScheme.full(w, root="cholesky")
+    assert np.array_equal(chol.whiten(r), np.linalg.cholesky(0.5 * (w + w.T)).T @ r)
+    assert calls == [(7, 7)]
+
+
+def test_full_weighting_whiten_rejects_nonpositive_eigenvalue(monkeypatch):
+    """Cholesky passed on construction, but the symmetric root still refuses
+    an eigenvalue <= 0 (round-off can put one there for a near-singular W)."""
+    scheme = WeightingScheme.full(np.diag([1.0, 2.0]))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([0.0, 2.0]), np.eye(2)))
+    with pytest.raises(FactorizationFailure):
+        scheme.whiten(np.ones(2))
 
 
 def test_materialized_matrix():
@@ -272,17 +311,35 @@ def test_lm_failing_probe_row_falls_back_to_the_trial_alone():
 def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program):
     """linearize() takes the fit's Jacobian as the one at the fitted
     parameters: it must equal jacobian_fd there exactly, on a clean fit and
-    on a noisy one with rejected trials."""
+    on noisy ones, the last with rejected trials."""
     exp = model_response(truth, material, small_program)
     rng = np.random.default_rng(1)
     noisy = exp + rng.normal(size=len(exp)) * 20.0
-    start = HardeningParams.from_vector(truth.as_vector() * 1.3)
-    for obs, opts in ((exp, None), (noisy, LMOptions(max_iter=5))):
+    short = LMOptions(max_iter=5)
+    for obs, scale, opts in ((exp, 1.3, None), (noisy, 1.3, short), (noisy, 2.0, short)):
+        start = HardeningParams.from_vector(truth.as_vector() * scale)
         data = ExperimentData(obs, small_program.shear_values)
         fit = levenberg_marquardt(start, data, WeightingScheme.identity(data.n),
                                   material, small_program, opts=opts)
         assert np.array_equal(fit.jacobian, jacobian_fd(fit.params, material, small_program))
     assert not all(accepted for *_, accepted in fit.history)
+
+
+def test_lm_holds_a_component_at_the_lower_bound(material, truth, small_program):
+    """beta ends at its bound 0 on this noisy record. Clipping each damped
+    step made the fit crawl along the bound for all 200 iterations (phi
+    16630.6926, not converged); holding beta fixed while its gradient points
+    below 0 converges in a few iterations to a lower phi."""
+    exp = model_response(truth, material, small_program)
+    noisy = exp + 20.0 * np.random.default_rng(1).standard_normal(len(exp))
+    data = ExperimentData(noisy, small_program.shear_values)
+    start = HardeningParams.from_vector(truth.as_vector() * 1.3)
+    fit = levenberg_marquardt(start, data, WeightingScheme.identity(data.n),
+                              material, small_program)
+    assert fit.converged
+    assert fit.iterations < 50
+    assert fit.phi <= 16630.6926
+    assert fit.params.beta == 0.0
 
 
 def test_lm_start_at_truth_converges_immediately(material, truth, small_program):
@@ -351,3 +408,21 @@ def test_batched_response_matches_single(material, truth, small_program):
     batch = model_response_batch(vecs, material, small_program)
     single0 = model_response(truth, material, small_program)
     assert np.array_equal(batch[0], single0)
+
+
+# A parameter factor of the truth: 0 (the admissible bound) or 0.5 to 2.
+_factor = st.one_of(st.just(0.0), st.floats(0.5, 2.0))
+_rows = st.lists(st.tuples(*[_factor] * 6), min_size=1, max_size=6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=_rows, data=st.data())
+def test_batched_response_row_is_independent_of_its_batch(material, truth, rows, data):
+    """Any row of a batch, at any position, equals its single-row response
+    bit for bit: the LM, linearize_at and the metric's reference row rely on
+    it."""
+    program, _ = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
+    vecs = truth.as_vector()[None, :] * np.array(rows)
+    i = data.draw(st.integers(0, len(vecs) - 1), label="position")
+    batch = model_response_batch(vecs, material, program)
+    assert np.array_equal(batch[i], model_response(vecs[i], material, program))

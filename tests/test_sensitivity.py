@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpident import (
     HardeningParams,
@@ -56,6 +58,27 @@ def test_linearize_at_reproduces_model_locally(material, truth, small_program):
     # quadratic remainder: 10x the perturbation, ~100x the error
     assert errors[1] <= 300.0 * errors[0]
     assert errors[0] < 0.05  # MPa at 0.1% perturbation
+
+
+def test_linearize_at_is_one_pass_equal_to_separate_calls(material, truth, small_program,
+                                                          monkeypatch):
+    from vpident import identify, jacobian_fd
+
+    separate = LinearizedModel(truth.as_vector(), model_response(truth, material, small_program),
+                               jacobian_fd(truth, material, small_program))
+    rows = []
+    batch = identify.model_response_batch
+
+    def counting(pvecs, *args, **kwargs):
+        rows.append(len(pvecs))
+        return batch(pvecs, *args, **kwargs)
+
+    monkeypatch.setattr(identify, "model_response_batch", counting)
+    lin = linearize_at(truth, material, small_program)
+    assert rows == [13]
+    assert np.array_equal(lin.p_star, separate.p_star)
+    assert np.array_equal(lin.mod_star, separate.mod_star)
+    assert np.array_equal(lin.jacobian, separate.jacobian)
 
 
 def test_linearize_requires_convergence(material, truth, small_program):
@@ -273,6 +296,60 @@ def test_chunk_size_does_not_change_distances(material, truth, mc_setup):
     finally:
         metric_mod.CHUNK = old
     assert np.array_equal(d_big, d_small)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n_members=st.integers(1, 7), chunk=st.integers(1, 3), workers=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_mechanics_distances_do_not_depend_on_chunk_or_workers(truth, mc_setup, n_members,
+                                                               chunk, workers, seed):
+    from vpident import metric as metric_mod
+    from vpident.metric import mechanics_distances
+
+    spec = mc_setup[2][1]
+    rng = np.random.default_rng(seed)
+    cloud = truth.as_vector()[None, :] * (1.0 + 0.02 * rng.standard_normal((n_members, 6)))
+    whole = mechanics_distances(cloud, truth, spec)
+    old = metric_mod.CHUNK
+    metric_mod.CHUNK = chunk
+    try:
+        chunked = mechanics_distances(cloud, truth, spec, workers=workers)
+    finally:
+        metric_mod.CHUNK = old
+    assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("n_members", [1, 7, 30])
+def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monkeypatch,
+                                                n_members):
+    """The reference rides in the first chunk: ceil(M / CHUNK) integrator
+    passes, results equal to scoring against a separate reference pass, and
+    independent of the worker count."""
+    from vpident import metric as metric_mod
+    from vpident.metric import mechanics_distances, stress_trajectories
+
+    exp, lin, metrics = mc_setup
+    spec = metrics[1]
+    rng = np.random.default_rng(3)
+    cloud = lin.p_star[None, :] * (1.0 + 0.02 * rng.standard_normal((n_members, 6)))
+    ref_traj = stress_trajectories(spec, truth.as_vector()[None, :])[0]
+    diff = stress_trajectories(spec, cloud) - ref_traj[None]
+    expected = np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
+
+    calls = []
+    response = metric_mod.cauchy_response
+
+    def counting(f, times, material, pvecs, n_sub=1):
+        calls.append(len(pvecs))
+        return response(f, times, material, pvecs, n_sub=n_sub)
+
+    monkeypatch.setattr(metric_mod, "cauchy_response", counting)
+    monkeypatch.setattr(metric_mod, "CHUNK", 7)
+    for workers in (1, 3):
+        calls.clear()
+        assert np.array_equal(mechanics_distances(cloud, truth, spec, workers=workers), expected)
+        assert len(calls) == -(-n_members // 7)
+        assert calls[0] == min(n_members, 7) + 1
 
 
 def test_members_accessor_wraps_admissible(material, mc_setup):

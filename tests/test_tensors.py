@@ -91,6 +91,20 @@ def test_inverse_involution_and_product():
         assert np.allclose(tn.product(a, tn.inverse(a)), np.eye(3), atol=1e-10)
 
 
+def test_inverse_is_cofactors_over_det_bit_for_bit():
+    """inverse() takes its determinant from its own cofactors; the result
+    must equal the adjugate divided by det() exactly."""
+    rng = np.random.default_rng(13)
+    batch = rng.normal(size=(500, 3, 3))
+    adj = np.empty_like(batch)
+    for i in range(3):
+        for j in range(3):
+            (r0, r1), (c0, c1) = [k for k in range(3) if k != j], [k for k in range(3) if k != i]
+            minor = batch[:, r0, c0] * batch[:, r1, c1] - batch[:, r0, c1] * batch[:, r1, c0]
+            adj[:, i, j] = minor if (i + j) % 2 == 0 else -minor
+    assert np.array_equal(tn.inverse(batch), adj / tn.det(batch)[:, None, None])
+
+
 def test_transpose_and_trace():
     a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
     assert np.array_equal(tn.transpose(a), a.T)
