@@ -292,7 +292,7 @@ def _parser() -> argparse.ArgumentParser:
                       help="benchmark history id (repeatable)")
     p_mc.add_argument("--params", metavar="PATH",
                       help="base parameter file (default: configured truth)")
-    p_mc.add_argument("--workers", type=int, help="parallel workers for cloud scoring")
+    p_mc.add_argument("--workers", type=int, help="ignored; cloud scoring runs sequentially")
 
     p_dist = sub.add_parser("distance", help="distances between two parameter files")
     common(p_dist)

@@ -281,20 +281,22 @@ def _flow_multiplier(f_trial, h_eff, mat: MaterialParams, dt: float):
     """
     ft = np.maximum(f_trial, 0.0)
     c = np.maximum(h_eff, 0.0) * (dt / mat.eta)
+    cm = c * (mat.m / mat.k0)
     x = ft.copy()
     tol = 1.0e-12 * np.maximum(ft, mat.k0)
     for _ in range(80):
-        phi = x + c * (x / mat.k0) ** mat.m - ft
+        r = x / mat.k0
+        rm = r**mat.m
+        phi = x + c * rm - ft
         done = np.abs(phi) <= tol
         if done.all():
             break
-        dphi = 1.0 + c * (mat.m / mat.k0) * (x / mat.k0) ** (mat.m - 1.0)
-        x = np.where(done, x, x - phi / dphi)
+        x = np.where(done, x, x - phi / (1.0 + cm * r ** (mat.m - 1.0)))
     else:
         raise StepFailure("implicit flow solve did not converge")
     if not np.isfinite(x).all():
         raise StepFailure("implicit flow solve produced non-finite values")
-    return (x / mat.k0) ** mat.m / mat.eta
+    return rm / mat.eta
 
 
 def _project_metric(a: np.ndarray):
@@ -313,32 +315,40 @@ def _project_metric(a: np.ndarray):
     return out, d_out
 
 
-def _advance(state_arrays, C_new, mat: MaterialParams, hp, dt: float):
+def _advance(state, C_new, mat: MaterialParams, hp, dt: float):
     """One integration step for the whole batch to end-of-step strain C_new.
 
-    state_arrays = (Ci, C1i, C2i, s, sd) with leading batch axis;
-    hp = (gamma, beta, c1, c2, kappa1, kappa2) as broadcastable arrays.
-    Elastic entries pass through bit-identically.
+    state = (S, S_inv, s, sd): S stacks [Ci, C1i, C2i] as (3, M, 3, 3) and
+    S_inv = inverse(S) is carried with it; hp = (gamma, beta, c1, c2,
+    kappa1, kappa2) as broadcastable arrays. Each tensor operation runs once
+    on the stack, which gives the same values as three separate calls.
+    Elastic entries pass through bit-identically and keep their carried
+    inverses.
     """
-    Ci, C1i, C2i, s, sd = state_arrays
+    S, S_inv, s, sd = state
     gam, bet, c1, c2, kap1, kap2 = hp
 
-    a_el = np.matmul(C_new, inverse(Ci))
-    dev_a = deviator(unimodular(a_el))
-    dev_b1 = deviator(unimodular(np.matmul(Ci, inverse(C1i))))
-    dev_b2 = deviator(unimodular(np.matmul(Ci, inverse(C2i))))
+    # [C_new Ci^-1, Ci C1i^-1, Ci C2i^-1]
+    lhs = np.empty_like(S)
+    lhs[0] = C_new
+    lhs[1:] = S[0]
+    dev = deviator(unimodular(np.matmul(lhs, S_inv)))
+    dev_b1, dev_b2 = dev[1], dev[2]
 
-    xi = (
-        mat.mu * dev_a
+    # overwrite dev(A) with the flow direction xi; the stack is then the
+    # left factor [xi, dev B1, dev B2] of the flow update
+    dev[0] = (
+        mat.mu * dev[0]
         - 0.5 * c1[..., None, None] * dev_b1
         - 0.5 * c2[..., None, None] * dev_b2
     )
+    xi = dev[0]
     drive = frobenius_norm(xi)
     s_e = s - sd
     f_trial = drive - SQ23 * (mat.K + gam * s_e)
     plastic = f_trial > 0.0
     if not plastic.any():
-        return state_arrays
+        return state
 
     # Relaxation modulus for the implicit flow solve: elastic slope plus the
     # hardening slopes with their saturation (recovery) corrections. Each
@@ -355,24 +365,17 @@ def _advance(state_arrays, C_new, mat: MaterialParams, hp, dt: float):
     )
     lam = np.where(plastic, _flow_multiplier(f_trial, h_eff, mat, dt), 0.0)
 
-    scale = 2.0 * dt * lam / safe_drive
-    Ci_new, d0 = _project_metric(Ci + scale[..., None, None] * np.matmul(xi, Ci))
-    C1i_new, d1 = _project_metric(C1i + (dt * lam * kap1 * c1)[..., None, None] * np.matmul(dev_b1, C1i))
-    C2i_new, d2 = _project_metric(C2i + (dt * lam * kap2 * c2)[..., None, None] * np.matmul(dev_b2, C2i))
-    ok = (
-        is_positive_definite(Ci_new, d0)
-        & is_positive_definite(C1i_new, d1)
-        & is_positive_definite(C2i_new, d2)
-    )
+    rates = np.stack([2.0 * dt * lam / safe_drive, dt * lam * kap1 * c1, dt * lam * kap2 * c2])
+    S_new, d_new = _project_metric(S + rates[..., None, None] * np.matmul(dev, S))
+    ok = is_positive_definite(S_new, d_new).all(axis=0)
     if not (ok | ~plastic).all():
         raise StepFailure("inelastic metric lost positive definiteness (reduce the time step)")
 
     mask = plastic[..., None, None]
     ds = dt * SQ23 * lam
     return (
-        np.where(mask, Ci_new, Ci),
-        np.where(mask, C1i_new, C1i),
-        np.where(mask, C2i_new, C2i),
+        np.where(mask, S_new, S),
+        np.where(mask, inverse(S_new), S_inv),
         np.where(plastic, s + ds, s),
         np.where(plastic, sd + bet * ds * s_e, sd),
     )
@@ -385,10 +388,9 @@ def _hp_arrays(pvecs: np.ndarray):
     return tuple(np.ascontiguousarray(pvecs[:, i]) for i in range(6))
 
 
-def _cauchy_at(C_obs, Cinv_obs, F_obs, detF_obs, Ci, mat: MaterialParams):
+def _cauchy_at(C_obs, Cinv_obs, F_obs, detF_obs, Ci_inv, mat: MaterialParams):
     """Batched Cauchy stress at one observation point of the strain path."""
-    a_el = np.matmul(C_obs, inverse(Ci))
-    t = _pk2_kernel(Cinv_obs, a_el, mat.k, mat.mu)
+    t = _pk2_kernel(Cinv_obs, np.matmul(C_obs, Ci_inv), mat.k, mat.mu)
     return sym(np.matmul(F_obs, np.matmul(t, transpose(F_obs))) / detF_obs)
 
 
@@ -406,7 +408,7 @@ def run_path(
     (T,); the path is linear in F between samples. pvecs: (M, 6) hardening
     vectors in PARAM_NAMES order. For every sample index i the callback
     ``sink(i, cauchy)`` receives the (M, 3, 3) Cauchy stresses. Returns the
-    final state arrays.
+    final state arrays (Ci, C1i, C2i, s, sd).
     """
     F_samples = np.asarray(F_samples, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -427,11 +429,11 @@ def run_path(
 
     hp = _hp_arrays(pvecs)
     m = pvecs.shape[0]
-    ident = np.broadcast_to(I3, (m, 3, 3)).copy()
-    state = (ident, ident.copy(), ident.copy(), np.zeros(m), np.zeros(m))
+    S = np.broadcast_to(I3, (3, m, 3, 3)).copy()
+    state = (S, inverse(S), np.zeros(m), np.zeros(m))
 
     if sink is not None:
-        sink(0, _cauchy_at(C_obs[0], Cinv_obs[0], F_samples[0], detF[0], state[0], material))
+        sink(0, _cauchy_at(C_obs[0], Cinv_obs[0], F_samples[0], detF[0], state[1][0], material))
     for i in range(1, len(times)):
         dt = (times[i] - times[i - 1]) / n_sub
         for j in range(1, n_sub + 1):
@@ -443,8 +445,9 @@ def run_path(
                 c_sub = C_obs[i]
             state = _advance(state, c_sub, material, hp, dt)
         if sink is not None:
-            sink(i, _cauchy_at(C_obs[i], Cinv_obs[i], F_samples[i], detF[i], state[0], material))
-    return state
+            sink(i, _cauchy_at(C_obs[i], Cinv_obs[i], F_samples[i], detF[i], state[1][0], material))
+    S, _, s, sd = state
+    return S[0], S[1], S[2], s, sd
 
 
 def cauchy_response(
@@ -488,19 +491,13 @@ def evolve_state(
     grid = np.linspace(t0, t1, n + 1)
 
     hp = _hp_arrays(params.hardening.as_vector()[None, :])
-    state = (
-        state0.Ci[None, :, :].astype(float),
-        state0.C1i[None, :, :].astype(float),
-        state0.C2i[None, :, :].astype(float),
-        np.array([state0.s], dtype=float),
-        np.array([state0.sd], dtype=float),
-    )
+    S = np.array([[state0.Ci], [state0.C1i], [state0.C2i]], dtype=float)
+    state = (S, inverse(S), np.array([state0.s], dtype=float), np.array([state0.sd], dtype=float))
     trajectory = [state0.copy()]
     for i in range(1, len(grid)):
         c_new = np.asarray(C_of_t(float(grid[i])), dtype=float)
         state = _advance(state, c_new, params, hp, float(grid[i] - grid[i - 1]))
-        trajectory.append(
-            InternalState(state[0][0].copy(), state[1][0].copy(), state[2][0].copy(),
-                          float(state[3][0]), float(state[4][0]))
-        )
+        S, _, s, sd = state
+        trajectory.append(InternalState(S[0, 0].copy(), S[1, 0].copy(), S[2, 0].copy(),
+                                        float(s[0]), float(sd[0])))
     return trajectory

@@ -13,7 +13,6 @@ reports instead of hiding.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,12 +114,12 @@ def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec,
                         workers: int = 1) -> np.ndarray:
     """Stress-metric distance of every row of pvecs to one reference set.
 
-    The cloud is processed in fixed-size chunks. The reference is
-    integrated as an extra row 0 of the first chunk, and every chunk is
-    scored against that row's trajectory; batch rows are integrated
-    independently, so this equals a separate reference pass bit for bit.
-    The chunk membership never depends on the worker count, so parallel and
-    sequential runs produce identical numbers.
+    The cloud is processed in fixed-size chunks, one after another. The
+    reference is integrated as an extra row 0 of the first chunk, and every
+    chunk is scored against that row's trajectory; batch rows are
+    integrated independently, so this equals a separate reference pass bit
+    for bit. ``workers`` is accepted and ignored: a thread pool over the
+    chunks measured no gain.
     """
     pvecs = np.atleast_2d(np.asarray(pvecs, dtype=float))
     chunks = [pvecs[i:i + CHUNK] for i in range(0, len(pvecs), CHUNK)]
@@ -128,19 +127,14 @@ def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec,
     ref_traj = first[0].copy()
 
     def score(out: np.ndarray) -> np.ndarray:
-        diff = out - ref_traj[None]
-        return np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
-
-    def integrate_and_score(chunk: np.ndarray) -> np.ndarray:
-        return score(stress_trajectories(spec, chunk))
+        # in place: every trajectory array is scored once and then dropped
+        out -= ref_traj[None]
+        out *= out
+        return np.max(np.sqrt(np.sum(out, axis=(-2, -1))), axis=1)
 
     parts = [score(first[1:])]
     del first  # free the first chunk before the next one is integrated
-    if workers > 1 and len(chunks) > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts += pool.map(integrate_and_score, chunks[1:])
-    else:
-        parts += [integrate_and_score(c) for c in chunks[1:]]
+    parts += [score(stress_trajectories(spec, c)) for c in chunks[1:]]
     return np.concatenate(parts)
 
 

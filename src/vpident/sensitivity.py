@@ -167,9 +167,9 @@ def monte_carlo_cloud(
 
     Instance j draws its noise from the derived seed (master_seed, j) and
     is re-identified through one shared solve operator, so runs are
-    reproducible, prefix-stable in n_instances, and safe to parallelize.
-    The cloud size per configured loading history is the mean stress-metric
-    distance to p*, evaluated with the full nonlinear model.
+    reproducible and prefix-stable in n_instances. The cloud size per
+    configured loading history is the mean stress-metric distance to p*,
+    evaluated with the full nonlinear model. ``workers`` is ignored.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")

@@ -16,10 +16,6 @@ from .errors import NonPositiveDeterminant, SingularTensor
 I3 = np.eye(3)
 
 
-def identity() -> np.ndarray:
-    return np.eye(3)
-
-
 def det(a: np.ndarray) -> np.ndarray | float:
     a = np.asarray(a)
     d = (
@@ -43,10 +39,6 @@ def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part (A + A^T)/2; used to kill round-off drift."""
     a = np.asarray(a)
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a, b)
 
 
 def deviator(a: np.ndarray) -> np.ndarray:

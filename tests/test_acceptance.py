@@ -350,7 +350,7 @@ def test_criterion_10_monte_carlo_convergence(big_cloud_distances):
 
 def test_criterion_11_determinism_sequential_vs_parallel(tmp_path):
     config = {
-        "n_instances": 1100,  # two scoring chunks, so workers actually engage
+        "n_instances": 1100,  # two scoring chunks; --workers is a no-op, the bytes must not move
         "histories": [1, 2],
     }
     cfg_path = tmp_path / "config.json"

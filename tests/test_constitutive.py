@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpident import (
     HardeningParams,
@@ -17,7 +19,10 @@ from vpident import (
     stress_state,
     torsion_program,
 )
+from vpident import constitutive, tensors
+from vpident.constitutive import DET_TOL, _advance, _hp_arrays, run_path
 from vpident.errors import InvalidTimeGrid, NonPositiveDefinite
+from vpident.identify import N_SUB_RESPONSE
 
 from conftest import random_spd, random_spd_unimodular
 
@@ -368,3 +373,91 @@ def test_stress_state_lambda_zero_below_yield(material):
     assert out.overstress_f <= 0.0
     assert out.lambda_i == 0.0
     assert np.allclose(out.backstress_total, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# stacked step kernel
+
+# A parameter factor of the truth: 0 (the admissible bound) or 0.5 to 2.
+_factor = st.one_of(st.just(0.0), st.floats(0.5, 2.0))
+_rows = st.lists(st.tuples(*[_factor] * 6), min_size=1, max_size=6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rows=_rows)
+def test_final_metric_tensors_stay_admissible(material, truth, rows):
+    """After plastic flow every row's Ci, C1i and C2i from run_path is
+    symmetric, positive definite and unimodular within DET_TOL. The path
+    and substeps are those of the batched response."""
+    prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
+    pvecs = truth.as_vector()[None, :] * np.array(rows)
+    *tensors_out, s, _ = run_path(fs, prog.times(), material, pvecs, n_sub=N_SUB_RESPONSE)
+    assert np.all(s > 0.0)
+    for a in tensors_out:
+        assert a.shape == (len(pvecs), 3, 3)
+        assert np.array_equal(a, np.swapaxes(a, -1, -2))
+        assert np.all(np.linalg.eigvalsh(a) > 0.0)
+        assert np.all(np.abs(tensors.det(a) - 1.0) <= DET_TOL)
+
+
+def _mixed_path(truth):
+    """Right Cauchy-Green tensors of a load-unload-reload shear path, and
+    three rows whose hardening makes them yield at different steps."""
+    # fine reversals: the rows' backstresses differ by a few MPa there
+    shears = np.concatenate([np.linspace(0.0, 0.01, 11), np.linspace(0.01, -0.006, 161)[1:],
+                             np.linspace(-0.006, 0.01, 161)[1:]])
+    cs = [simple_shear_f(g).T @ simple_shear_f(g) for g in shears]
+    pvecs = truth.as_vector()[None, :] * np.array([[0.0] * 6, [1.0] * 6, [2.0] * 6])
+    return cs, pvecs
+
+
+def test_carried_inverse_equals_inverse_of_state(material, truth):
+    """The carried S_inv is inverse(S) bit for bit after every step, also
+    after steps in which some rows flow and others stay elastic."""
+    cs, pvecs = _mixed_path(truth)
+    hp = _hp_arrays(pvecs)
+    S = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)).copy()
+    state = (S, tensors.inverse(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
+    kinds = set()
+    for c in cs[1:]:
+        new = _advance(state, c, material, hp, 1.0)
+        flowed = tuple(new[2] != state[2])
+        kinds.add("mixed" if 0 < sum(flowed) < len(flowed) else "uniform")
+        state = new
+        assert np.array_equal(state[1], tensors.inverse(state[0]))
+    assert kinds == {"mixed", "uniform"}
+
+
+def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
+    """Per plastic step one inverse and three det calls (unimodular and the
+    two of the projection), per elastic step one det, per sample two det;
+    per run one det of the sampled F and two inverses (C at the samples and
+    the initial stack)."""
+    cs, pvecs = _mixed_path(truth)
+    fs = np.stack([np.linalg.cholesky(c).T for c in cs])  # F with F^T F = C
+    calls = {"det": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    det_counter = counting("det", tensors.det)
+    monkeypatch.setattr(constitutive, "det", det_counter)
+    monkeypatch.setattr(tensors, "det", det_counter)
+    monkeypatch.setattr(constitutive, "inverse", counting("inverse", tensors.inverse))
+    plastic = []
+
+    def recording(state, *args):
+        new = _advance(state, *args)
+        plastic.append(new is not state)
+        return new
+
+    monkeypatch.setattr(constitutive, "_advance", recording)
+    times = np.arange(len(fs), dtype=float)
+    constitutive.cauchy_response(fs, times, material, pvecs)
+    n_plastic = sum(plastic)
+    assert 0 < n_plastic < len(plastic) == len(fs) - 1
+    assert calls["inverse"] == 2 + n_plastic
+    assert calls["det"] == 1 + (len(plastic) - n_plastic) + 3 * n_plastic + 2 * len(fs)

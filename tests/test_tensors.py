@@ -88,7 +88,7 @@ def test_inverse_involution_and_product():
     for _ in range(50):
         a = random_spd(rng, scale=0.4)
         assert np.allclose(tn.inverse(tn.inverse(a)), a, rtol=1e-10, atol=1e-12)
-        assert np.allclose(tn.product(a, tn.inverse(a)), np.eye(3), atol=1e-10)
+        assert np.allclose(np.matmul(a, tn.inverse(a)), np.eye(3), atol=1e-10)
 
 
 def test_inverse_is_cofactors_over_det_bit_for_bit():
