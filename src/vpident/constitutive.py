@@ -456,8 +456,14 @@ def cauchy_response(
     material: MaterialParams,
     pvecs: np.ndarray,
     n_sub: int = 1,
-) -> np.ndarray:
-    """(M, T, 3, 3) Cauchy stress histories at the sample points."""
+    sink: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray | None:
+    """(M, T, 3, 3) Cauchy stress histories at the sample points. With
+    ``sink``, none is stored and None is returned: ``sink(i, cauchy)`` gets
+    each sample's stresses as a fresh (M, 3, 3) array it may overwrite."""
+    if sink is not None:
+        run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=sink)
+        return None
     pvecs = np.asarray(pvecs, dtype=float)
     out = np.empty((pvecs.shape[0], len(times), 3, 3))
 

@@ -87,19 +87,19 @@ def dist_euclidean_nondim(p1, p2, ref) -> float:
     return float(np.linalg.norm((_vec(p1) - _vec(p2)) / r))
 
 
-def stress_trajectories(spec: MetricSpec, pvecs: np.ndarray) -> np.ndarray:
-    """(M, T, 3, 3) Cauchy-stress histories along the metric's loading path."""
+def stress_trajectories(spec: MetricSpec, pvecs: np.ndarray, sink=None) -> np.ndarray | None:
+    """(M, T, 3, 3) Cauchy-stress histories along the metric's loading path,
+    or None with every sample streamed to ``sink`` (see ``cauchy_response``)."""
     if spec.kind != "mechanics":
         raise ValueError("stress trajectories require a mechanics metric")
     times, f = spec.history.grid(spec.n_steps)
-    return cauchy_response(f, times, spec.material, np.atleast_2d(pvecs), n_sub=spec.n_sub)
+    return cauchy_response(f, times, spec.material, np.atleast_2d(pvecs), n_sub=spec.n_sub,
+                           sink=sink)
 
 
 def dist_mechanics(p1, p2, spec: MetricSpec) -> float:
     """max over the shared time grid of ||T(t, p1) - T(t, p2)||_F in MPa."""
-    out = stress_trajectories(spec, np.stack([_vec(p1), _vec(p2)]))
-    diff = out[0] - out[1]
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1)))))
+    return float(mechanics_distances(_vec(p2)[None], p1, spec)[0])
 
 
 def distance(spec: MetricSpec, p1, p2) -> float:
@@ -114,28 +114,30 @@ def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec,
                         workers: int = 1) -> np.ndarray:
     """Stress-metric distance of every row of pvecs to one reference set.
 
-    The cloud is processed in fixed-size chunks, one after another. The
-    reference is integrated as an extra row 0 of the first chunk, and every
-    chunk is scored against that row's trajectory; batch rows are
-    integrated independently, so this equals a separate reference pass bit
-    for bit. ``workers`` is accepted and ignored: a thread pool over the
-    chunks measured no gain.
+    The cloud is integrated in chunks of CHUNK members and scored as it
+    integrates: each sample only raises a running maximum of the squared
+    norm per member, so no stress history is stored. Row 0 of the first
+    chunk is the reference; batch rows are integrated independently, so
+    this equals a separate reference pass bit for bit. ``workers`` is
+    ignored: a thread pool over the chunks measured no gain.
     """
     pvecs = np.atleast_2d(np.asarray(pvecs, dtype=float))
-    chunks = [pvecs[i:i + CHUNK] for i in range(0, len(pvecs), CHUNK)]
-    first = stress_trajectories(spec, np.vstack([_vec(ref)[None, :], *chunks[:1]]))
-    ref_traj = first[0].copy()
+    ref_traj = []
+    out = np.zeros(len(pvecs))
+    for start in range(0, max(len(pvecs), 1), CHUNK):
+        rows, part = pvecs[start:start + CHUNK], out[start:start + CHUNK]
 
-    def score(out: np.ndarray) -> np.ndarray:
-        # in place: every trajectory array is scored once and then dropped
-        out -= ref_traj[None]
-        out *= out
-        return np.max(np.sqrt(np.sum(out, axis=(-2, -1))), axis=1)
+        def score(i, cauchy, part=part, lead=start == 0):
+            if lead:
+                ref_traj.append(cauchy[0].copy())
+                cauchy = cauchy[1:]
+            cauchy -= ref_traj[i]
+            cauchy *= cauchy
+            np.maximum(part, np.sum(cauchy, axis=(-2, -1)), out=part)
 
-    parts = [score(first[1:])]
-    del first  # free the first chunk before the next one is integrated
-    parts += [score(stress_trajectories(spec, c)) for c in chunks[1:]]
-    return np.concatenate(parts)
+        stress_trajectories(spec, np.vstack([_vec(ref)[None, :], rows]) if start == 0 else rows,
+                            sink=score)
+    return np.sqrt(out, out=out)  # sqrt is monotone: the max of the roots, bit for bit
 
 
 @dataclass

@@ -461,3 +461,24 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
     assert 0 < n_plastic < len(plastic) == len(fs) - 1
     assert calls["inverse"] == 2 + n_plastic
     assert calls["det"] == 1 + (len(plastic) - n_plastic) + 3 * n_plastic + 2 * len(fs)
+
+
+def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
+    """With a sink nothing is stored and None is returned; every sample
+    arrives as a fresh (M, 3, 3) array equal bit for bit to that sample of
+    the stored (M, T, 3, 3) result, and overwriting it changes nothing."""
+    prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
+    pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.5] * 6, [1.5] * 6])
+    stored = constitutive.cauchy_response(fs, prog.times(), material, pvecs, n_sub=2)
+    streamed = []
+
+    def sink(i, cauchy):
+        streamed.append((i, cauchy.copy()))
+        cauchy[...] = np.nan
+
+    assert constitutive.cauchy_response(fs, prog.times(), material, pvecs, n_sub=2,
+                                        sink=sink) is None
+    assert [i for i, _ in streamed] == list(range(len(fs)))
+    for i, cauchy in streamed:
+        assert cauchy.shape == (len(pvecs), 3, 3)
+        assert np.array_equal(cauchy, stored[:, i])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from vpident import (
     dist_euclidean,
     dist_euclidean_nondim,
     dist_mechanics,
+    mechanics_distances,
 )
 from vpident.errors import ZeroReferenceParameter
 from vpident.loading import DeformationHistory
+from vpident.metric import stress_trajectories
 
 
 def perturbed(base, rng, scale=0.1):
@@ -127,6 +131,38 @@ def test_mechanics_reparametrization_invariance(truth, mech_spec):
     assert d_images == pytest.approx(d_original, rel=1e-9)
     # the Euclidean distance is not reparametrization-invariant
     assert abs(dist_euclidean(rho1, rho2) - dist_euclidean(p1, p2)) > 1.0
+
+
+@pytest.mark.parametrize("history", [1, 2])
+def test_dist_mechanics_equals_the_stored_trajectory_formula(truth, mech_spec, mech_spec_h2,
+                                                              history):
+    """The pairwise distance is the cloud scoring of one member, bit for bit
+    equal to the max over time of the Frobenius norm of the stored
+    trajectories' difference."""
+    spec = mech_spec if history == 1 else mech_spec_h2
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        p1, p2 = perturbed(truth, rng, 0.15), perturbed(truth, rng, 0.15)
+        out = stress_trajectories(spec, np.stack([p1.as_vector(), p2.as_vector()]))
+        diff = out[0] - out[1]
+        expected = float(np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1)))))
+        assert dist_mechanics(p1, p2, spec) == expected
+
+
+def test_cloud_scoring_stores_no_stress_history(truth, material):
+    """Scoring streams through the integrator: the traced peak stays below a
+    quarter of one stored (M, T, 3, 3) history."""
+    spec = MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=400)
+    rng = np.random.default_rng(12)
+    cloud = truth.as_vector()[None, :] * (1.0 + 0.02 * rng.standard_normal((200, 6)))
+    tracemalloc.start()
+    try:
+        d = mechanics_distances(cloud, truth, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.shape == (200,) and np.all(d > 0.0)
+    assert peak < 200 * 401 * 72 / 4
 
 
 def test_mechanics_grid_refinement(truth, material):

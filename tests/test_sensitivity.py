@@ -339,9 +339,9 @@ def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monke
     calls = []
     response = metric_mod.cauchy_response
 
-    def counting(f, times, material, pvecs, n_sub=1):
+    def counting(f, times, material, pvecs, n_sub=1, **kw):
         calls.append(len(pvecs))
-        return response(f, times, material, pvecs, n_sub=n_sub)
+        return response(f, times, material, pvecs, n_sub=n_sub, **kw)
 
     monkeypatch.setattr(metric_mod, "cauchy_response", counting)
     monkeypatch.setattr(metric_mod, "CHUNK", 7)
