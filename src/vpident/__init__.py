@@ -9,12 +9,8 @@ from .constitutive import (
     StressOutput,
     backstresses,
     cauchy_response,
-    cauchy_stress,
     elastic_energy,
-    evolve_state,
-    isotropic_hardening,
     kinematic_energy,
-    overstress_and_multiplier,
     second_pk_stress,
     stress_state,
 )
@@ -23,12 +19,10 @@ from .identify import (
     FitResult,
     LMOptions,
     WeightingScheme,
-    error_functional,
     fit_least_squares,
     jacobian_fd,
     levenberg_marquardt,
     model_response,
-    whiten,
 )
 from .loading import (
     DeformationHistory,

@@ -205,7 +205,7 @@ def write_cloud(path: str, report: CloudReport) -> None:
 
 
 def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
-                   history_ids, params_path: str | None, workers: int) -> int:
+                   history_ids, params_path: str | None) -> int:
     base = read_param_file(params_path) if params_path else cfg.truth
     lin = linearize_at(base, cfg.material, cfg.program)
     exp = lin.mod_star
@@ -214,10 +214,8 @@ def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
     summary_rows = []
     for kind in schemes:
         scheme = build_weighting(kind, exp, cfg.noise)
-        report = monte_carlo_cloud(
-            lin, scheme, cfg.noise, exp, instances, cfg.master_seed,
-            metrics=metrics, workers=workers,
-        )
+        report = monte_carlo_cloud(lin, scheme, cfg.noise, exp, instances, cfg.master_seed,
+                                   metrics=metrics)
         cloud_path = os.path.join(out_dir, f"cloud_{kind}.csv")
         write_cloud(cloud_path, report)
         row = [kind, cfg.master_seed, instances]
@@ -328,7 +326,7 @@ def main(argv=None) -> int:
             else:
                 schemes = [cfg.weighting]
             return cmd_montecarlo(cfg, schemes, cfg.n_instances, out_dir,
-                                  args.history, args.params, cfg.workers)
+                                  args.history, args.params)
         if args.command == "distance":
             return cmd_distance(cfg, args.p1, args.p2, args.history)
         raise ConfigError(f"unknown command {args.command!r}")

@@ -91,7 +91,6 @@ class RunConfig:
     histories: list
     history_steps: int
     history_duration: float
-    workers: int
     output_dir: str
     raw: dict
 
@@ -210,8 +209,8 @@ def materialize(raw: dict) -> RunConfig:
     history_duration = _number(raw, "history_duration", "")
     if history_duration <= 0.0:
         raise ConfigError("history_duration must be positive")
-    workers = _number(raw, "workers", "", int)
-    if workers < 1:
+    # a validated no-op: cloud scoring runs its chunks one after another
+    if _number(raw, "workers", "", int) < 1:
         raise ConfigError("workers must be >= 1")
     output_dir = raw["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
@@ -229,7 +228,6 @@ def materialize(raw: dict) -> RunConfig:
         histories=list(histories),
         history_steps=history_steps,
         history_duration=history_duration,
-        workers=workers,
         output_dir=output_dir,
         raw=raw,
     )

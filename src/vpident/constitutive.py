@@ -40,7 +40,6 @@ from .tensors import (
     inverse,
     is_positive_definite,
     sym,
-    symmetry_defect,
     trace,
     transpose,
     unimodular,
@@ -135,21 +134,6 @@ class InternalState:
     def initial(cls) -> "InternalState":
         return cls(np.eye(3), np.eye(3), np.eye(3), 0.0, 0.0)
 
-    def validate(self) -> None:
-        for name in ("Ci", "C1i", "C2i"):
-            a = getattr(self, name)
-            if symmetry_defect(a) > 1.0e-10:
-                raise NonPositiveDefinite(f"{name} is not symmetric")
-            if not bool(is_positive_definite(a)):
-                raise NonPositiveDefinite(f"{name} is not positive definite")
-            if abs(float(det(a)) - 1.0) > DET_TOL:
-                raise StepFailure(f"det({name}) deviates from 1 beyond {DET_TOL}")
-        if self.s < 0.0 or self.s - self.sd < -1.0e-12:
-            raise ValueError("arc length must satisfy s >= 0 and s >= sd")
-
-    def copy(self) -> "InternalState":
-        return InternalState(self.Ci.copy(), self.C1i.copy(), self.C2i.copy(), self.s, self.sd)
-
 
 @dataclass
 class StressOutput:
@@ -190,10 +174,6 @@ def kinematic_energy(a: np.ndarray, c: float) -> float:
     return 0.25 * c * (float(trace(unimodular(a))) - 3.0)
 
 
-def isotropic_energy(s_e: float, gamma: float) -> float:
-    return 0.5 * gamma * s_e * s_e
-
-
 # ---------------------------------------------------------------------------
 # stress kernels (batched; leading axes broadcast)
 
@@ -224,29 +204,26 @@ def backstresses(state: InternalState, params: MaterialParams):
     return x1, x2, x1 + x2
 
 
-def isotropic_hardening(state: InternalState, params: MaterialParams) -> float:
-    return params.hardening.gamma * (state.s - state.sd)
+def _trial(C, S, S_inv, mat: MaterialParams, c1, c2, r):
+    """Trial step at strain C with frozen state S = [Ci, C1i, C2i] (stacked
+    on the first axis) and its inverse S_inv; r is the isotropic hardening.
 
-
-def overstress_and_multiplier(C: np.ndarray, state: InternalState, params: MaterialParams):
-    """Overstress f, driving force, and the Perzyna multiplier (1/eta)<f/k0>^m."""
-    C = np.asarray(C, dtype=float)
-    t = second_pk_stress(C, state, params)
-    _, _, x = backstresses(state, params)
-    drive = float(frobenius_norm(deviator(np.matmul(C, t) - np.matmul(state.Ci, x))))
-    f = drive - SQ23 * (params.K + isotropic_hardening(state, params))
-    lam = (max(f, 0.0) / params.k0) ** params.m / params.eta
-    return f, drive, lam
-
-
-def cauchy_stress(F: np.ndarray, state: InternalState, params: MaterialParams) -> np.ndarray:
-    """Push-forward T = (det F)^-1 F T_pk2 F^T of the second PK stress."""
-    F = np.asarray(F, dtype=float)
-    j = float(det(F))
-    if j <= 0.0:
-        raise NonPositiveDeterminant("deformation gradient must have det F > 0")
-    t = second_pk_stress(np.matmul(transpose(F), F), state, params)
-    return sym(np.matmul(F, np.matmul(t, transpose(F))) / j)
+    Returns the stack dev unimodular [C Ci^-1, Ci C1i^-1, Ci C2i^-1] with its
+    first slot overwritten by the flow direction xi = mu dev A - (c1 dev B1
+    + c2 dev B2)/2, which is dev(C T - Ci X); the drive ||xi||; and the
+    overstress f = ||xi|| - sqrt(2/3)(K + r).
+    """
+    lhs = np.empty_like(S)
+    lhs[0] = C
+    lhs[1:] = S[0]
+    dev = deviator(unimodular(np.matmul(lhs, S_inv)))
+    dev[0] = (
+        mat.mu * dev[0]
+        - 0.5 * np.asarray(c1)[..., None, None] * dev[1]
+        - 0.5 * np.asarray(c2)[..., None, None] * dev[2]
+    )
+    drive = frobenius_norm(dev[0])
+    return dev, drive, drive - SQ23 * (mat.K + r)
 
 
 def stress_state(F: np.ndarray, state: InternalState, params: MaterialParams) -> StressOutput:
@@ -258,12 +235,13 @@ def stress_state(F: np.ndarray, state: InternalState, params: MaterialParams) ->
     C = np.matmul(transpose(F), F)
     t = second_pk_stress(C, state, params)
     _, _, x = backstresses(state, params)
-    r = isotropic_hardening(state, params)
-    drive = float(frobenius_norm(deviator(np.matmul(C, t) - np.matmul(state.Ci, x))))
-    f = drive - SQ23 * (params.K + r)
-    lam = (max(f, 0.0) / params.k0) ** params.m / params.eta
+    hard = params.hardening
+    r = hard.gamma * (state.s - state.sd)
+    S = np.stack([state.Ci, state.C1i, state.C2i])
+    _, drive, f = _trial(C, S, inverse(S), params, hard.c1, hard.c2, r)
+    lam = (max(float(f), 0.0) / params.k0) ** params.m / params.eta
     cauchy = sym(np.matmul(F, np.matmul(t, transpose(F))) / j)
-    return StressOutput(t, cauchy, x, r, f, drive, lam)
+    return StressOutput(t, cauchy, x, r, float(f), float(drive), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +305,10 @@ def _advance(state, C_new, mat: MaterialParams, hp, dt: float):
     """
     S, S_inv, s, sd = state
     gam, bet, c1, c2, kap1, kap2 = hp
-
-    # [C_new Ci^-1, Ci C1i^-1, Ci C2i^-1]
-    lhs = np.empty_like(S)
-    lhs[0] = C_new
-    lhs[1:] = S[0]
-    dev = deviator(unimodular(np.matmul(lhs, S_inv)))
-    dev_b1, dev_b2 = dev[1], dev[2]
-
-    # overwrite dev(A) with the flow direction xi; the stack is then the
-    # left factor [xi, dev B1, dev B2] of the flow update
-    dev[0] = (
-        mat.mu * dev[0]
-        - 0.5 * c1[..., None, None] * dev_b1
-        - 0.5 * c2[..., None, None] * dev_b2
-    )
-    xi = dev[0]
-    drive = frobenius_norm(xi)
     s_e = s - sd
-    f_trial = drive - SQ23 * (mat.K + gam * s_e)
+    # dev is the left factor [xi, dev B1, dev B2] of the flow update
+    dev, drive, f_trial = _trial(C_new, S, S_inv, mat, c1, c2, gam * s_e)
+    xi, dev_b1, dev_b2 = dev
     plastic = f_trial > 0.0
     if not plastic.any():
         return state
@@ -388,28 +351,8 @@ def _hp_arrays(pvecs: np.ndarray):
     return tuple(np.ascontiguousarray(pvecs[:, i]) for i in range(6))
 
 
-def _cauchy_at(C_obs, Cinv_obs, F_obs, detF_obs, Ci_inv, mat: MaterialParams):
-    """Batched Cauchy stress at one observation point of the strain path."""
-    t = _pk2_kernel(Cinv_obs, np.matmul(C_obs, Ci_inv), mat.k, mat.mu)
-    return sym(np.matmul(F_obs, np.matmul(t, transpose(F_obs))) / detF_obs)
-
-
-def run_path(
-    F_samples: np.ndarray,
-    times: np.ndarray,
-    material: MaterialParams,
-    pvecs: np.ndarray,
-    n_sub: int = 1,
-    sink: Callable[[int, np.ndarray], None] | None = None,
-):
-    """Integrate a batch of parameter sets along one deformation path.
-
-    F_samples: (T, 3, 3) deformation gradients at strictly increasing times
-    (T,); the path is linear in F between samples. pvecs: (M, 6) hardening
-    vectors in PARAM_NAMES order. For every sample index i the callback
-    ``sink(i, cauchy)`` receives the (M, 3, 3) Cauchy stresses. Returns the
-    final state arrays (Ci, C1i, C2i, s, sd).
-    """
+def _check_path(F_samples, times, n_sub: int):
+    """The sampled path as float arrays, after the shape and time-grid checks."""
     F_samples = np.asarray(F_samples, dtype=float)
     times = np.asarray(times, dtype=float)
     if F_samples.ndim != 3 or F_samples.shape[1:] != (3, 3):
@@ -420,32 +363,43 @@ def run_path(
         raise InvalidTimeGrid("sample times must be strictly increasing")
     if n_sub < 1:
         raise InvalidTimeGrid("n_sub must be >= 1")
+    return F_samples, times
 
-    detF = det(F_samples)
-    if np.any(detF <= 0.0):
-        raise NonPositiveDeterminant("every sampled F must have det F > 0")
-    C_obs = np.matmul(transpose(F_samples), F_samples)
-    Cinv_obs = inverse(C_obs)
 
+def run_path(
+    F_samples: np.ndarray,
+    times: np.ndarray,
+    material: MaterialParams,
+    pvecs: np.ndarray,
+    n_sub: int = 1,
+    sink: Callable[[int, tuple], None] | None = None,
+):
+    """Integrate a batch of parameter sets along one deformation path.
+
+    F_samples: (T, 3, 3) deformation gradients at strictly increasing times
+    (T,); the path is linear in F between samples, with n_sub steps per
+    interval. pvecs: (M, 6) hardening vectors in PARAM_NAMES order. For
+    every sample index i, in order, ``sink(i, state)`` receives the carried
+    state (S, S_inv, s, sd) after that sample (see _advance; i = 0 is the
+    initial state). The sink must not modify it. Returns the final state
+    arrays (Ci, C1i, C2i, s, sd).
+    """
+    F_samples, times = _check_path(F_samples, times, n_sub)
     hp = _hp_arrays(pvecs)
-    m = pvecs.shape[0]
+    m = len(hp[0])
     S = np.broadcast_to(I3, (3, m, 3, 3)).copy()
     state = (S, inverse(S), np.zeros(m), np.zeros(m))
 
     if sink is not None:
-        sink(0, _cauchy_at(C_obs[0], Cinv_obs[0], F_samples[0], detF[0], state[1][0], material))
+        sink(0, state)
     for i in range(1, len(times)):
         dt = (times[i] - times[i - 1]) / n_sub
         for j in range(1, n_sub + 1):
-            if j < n_sub:
-                w = j / n_sub
-                f_sub = (1.0 - w) * F_samples[i - 1] + w * F_samples[i]
-                c_sub = np.matmul(transpose(f_sub), f_sub)
-            else:
-                c_sub = C_obs[i]
-            state = _advance(state, c_sub, material, hp, dt)
+            w = j / n_sub  # w = 1 gives F_samples[i] exactly
+            f_sub = (1.0 - w) * F_samples[i - 1] + w * F_samples[i]
+            state = _advance(state, np.matmul(transpose(f_sub), f_sub), material, hp, dt)
         if sink is not None:
-            sink(i, _cauchy_at(C_obs[i], Cinv_obs[i], F_samples[i], detF[i], state[1][0], material))
+            sink(i, state)
     S, _, s, sd = state
     return S[0], S[1], S[2], s, sd
 
@@ -461,49 +415,22 @@ def cauchy_response(
     """(M, T, 3, 3) Cauchy stress histories at the sample points. With
     ``sink``, none is stored and None is returned: ``sink(i, cauchy)`` gets
     each sample's stresses as a fresh (M, 3, 3) array it may overwrite."""
-    if sink is not None:
-        run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=sink)
-        return None
-    pvecs = np.asarray(pvecs, dtype=float)
-    out = np.empty((pvecs.shape[0], len(times), 3, 3))
+    F_samples, times = _check_path(F_samples, times, n_sub)
+    detF = det(F_samples)
+    if np.any(detF <= 0.0):
+        raise NonPositiveDeterminant("every sampled F must have det F > 0")
+    C_obs = np.matmul(transpose(F_samples), F_samples)
+    Cinv_obs = inverse(C_obs)
+    out = None
+    if sink is None:
+        out = np.empty((len(pvecs), len(times), 3, 3))
 
-    def sink(i, cauchy):
-        out[:, i] = cauchy
+        def sink(i, cauchy):
+            out[:, i] = cauchy
 
-    run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=sink)
+    def push_forward(i, state):
+        t = _pk2_kernel(Cinv_obs[i], np.matmul(C_obs[i], state[1][0]), material.k, material.mu)
+        sink(i, sym(np.matmul(F_samples[i], np.matmul(t, transpose(F_samples[i]))) / detF[i]))
+
+    run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=push_forward)
     return out
-
-
-def evolve_state(
-    C_of_t: Callable[[float], np.ndarray],
-    state0: InternalState,
-    params: MaterialParams,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> list[InternalState]:
-    """Advance the internal state along a right Cauchy-Green path C(t).
-
-    Returns the trajectory of states at the uniform grid covering [t0, t1]
-    (including the initial state). The grid step is (t1 - t0)/n with
-    n = ceil((t1 - t0)/dt), so the endpoint is hit exactly.
-    """
-    if t1 <= t0:
-        raise InvalidTimeGrid("t1 must be greater than t0")
-    if dt <= 0.0:
-        raise InvalidTimeGrid("dt must be positive")
-    state0.validate()
-    n = max(1, math.ceil((t1 - t0) / dt - 1.0e-12))
-    grid = np.linspace(t0, t1, n + 1)
-
-    hp = _hp_arrays(params.hardening.as_vector()[None, :])
-    S = np.array([[state0.Ci], [state0.C1i], [state0.C2i]], dtype=float)
-    state = (S, inverse(S), np.array([state0.s], dtype=float), np.array([state0.sd], dtype=float))
-    trajectory = [state0.copy()]
-    for i in range(1, len(grid)):
-        c_new = np.asarray(C_of_t(float(grid[i])), dtype=float)
-        state = _advance(state, c_new, params, hp, float(grid[i] - grid[i - 1]))
-        S, _, s, sd = state
-        trajectory.append(InternalState(S[0, 0].copy(), S[1, 0].copy(), S[2, 0].copy(),
-                                        float(s[0]), float(sd[0])))
-    return trajectory

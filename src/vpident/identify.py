@@ -113,10 +113,6 @@ class WeightingScheme:
     def full(cls, matrix, kind: str = "full_inverse_cov", root: str = "sym") -> "WeightingScheme":
         return cls(kind, full=matrix, root=root)
 
-    @classmethod
-    def custom(cls, matrix, root: str = "sym") -> "WeightingScheme":
-        return cls("custom", full=matrix, root=root)
-
     @property
     def n(self) -> int | None:
         if self._diag is not None:
@@ -177,16 +173,6 @@ class WeightingScheme:
         if self._diag is not None:
             return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
         return x.copy()
-
-
-def error_functional(resid: np.ndarray, scheme: WeightingScheme) -> float:
-    """Phi = Resid^T W Resid (>= 0, zero only for a zero residual)."""
-    return scheme.quadratic(resid)
-
-
-def whiten(resid: np.ndarray, scheme: WeightingScheme) -> np.ndarray:
-    """Whitened residual; its squared l2-norm equals the error functional."""
-    return scheme.whiten(resid)
 
 
 def model_response(p, fixed: MaterialParams, program: StrainProgram,
@@ -282,24 +268,20 @@ class LMOptions:
 
 @dataclass
 class FitResult:
-    params: HardeningParams
-    phi: float
-    iterations: int
-    jacobian: np.ndarray
-    converged: bool
-    history: list = field(default_factory=list)
-
-
-@dataclass
-class RawFitResult:
-    """Solver output before any domain wrapping (generic least squares)."""
+    """Least-squares fit: the final iterate x, the error functional phi and
+    the Jacobian there, and the (iteration, phi, damping, accepted) history."""
 
     x: np.ndarray
     phi: float
     iterations: int
     jacobian: np.ndarray
     converged: bool
-    history: list
+    history: list = field(default_factory=list)
+
+    @property
+    def params(self) -> HardeningParams:
+        """x as hardening parameters (fits of the six-parameter model)."""
+        return HardeningParams.from_vector(self.x)
 
 
 def fit_least_squares(
@@ -310,7 +292,7 @@ def fit_least_squares(
     opts: LMOptions | None = None,
     jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     lower_bound: float | None = 0.0,
-) -> RawFitResult:
+) -> FitResult:
     """Damped least squares on the whitened residual observations - response.
 
     response_batch maps (M, k) parameter rows to (M, N) responses; the
@@ -426,7 +408,7 @@ def fit_least_squares(
 
     if j is None:
         j = jac(p)
-    return RawFitResult(p, phi, iterations, j, converged, history)
+    return FitResult(p, phi, iterations, j, converged, history)
 
 
 def levenberg_marquardt(
@@ -442,19 +424,11 @@ def levenberg_marquardt(
         raise DimensionMismatch(
             f"data has {data.n} observations but the program has {program.n_points} sample points"
         )
-    raw = fit_least_squares(
+    return fit_least_squares(
         start.as_vector(),
         data.observations,
         lambda probes: model_response_batch(probes, fixed, program),
         scheme,
         opts=opts,
         lower_bound=0.0,
-    )
-    return FitResult(
-        params=HardeningParams.from_vector(raw.x),
-        phi=raw.phi,
-        iterations=raw.iterations,
-        jacobian=raw.jacobian,
-        converged=raw.converged,
-        history=raw.history,
     )

@@ -110,16 +110,14 @@ def distance(spec: MetricSpec, p1, p2) -> float:
     return dist_mechanics(p1, p2, spec)
 
 
-def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec,
-                        workers: int = 1) -> np.ndarray:
+def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec) -> np.ndarray:
     """Stress-metric distance of every row of pvecs to one reference set.
 
     The cloud is integrated in chunks of CHUNK members and scored as it
     integrates: each sample only raises a running maximum of the squared
     norm per member, so no stress history is stored. Row 0 of the first
     chunk is the reference; batch rows are integrated independently, so
-    this equals a separate reference pass bit for bit. ``workers`` is
-    ignored: a thread pool over the chunks measured no gain.
+    this equals a separate reference pass bit for bit.
     """
     pvecs = np.atleast_2d(np.asarray(pvecs, dtype=float))
     ref_traj = []

@@ -23,12 +23,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .constitutive import PARAM_NAMES, HardeningParams, MaterialParams
+from .constitutive import HardeningParams, MaterialParams
 from .errors import NonFiniteJacobian, SingularNormalMatrix, ZeroReferenceParameter
 from .identify import (
     FitResult,
     WeightingScheme,
-    model_response,
     response_and_jacobian_fd,
 )
 from .loading import StrainProgram
@@ -73,14 +72,12 @@ def linearize_at(p: HardeningParams, fixed: MaterialParams,
 
 def linearize(fit: FitResult, fixed: MaterialParams,
               program: StrainProgram) -> LinearizedModel:
-    """Package a converged fit for closed-form re-identification."""
+    """Package a converged fit for closed-form re-identification: linearize_at
+    the fitted parameters. With the default LMOptions steps its Jacobian is
+    fit.jacobian bit for bit."""
     if not fit.converged:
         raise ValueError("linearization requires a converged fit")
-    return LinearizedModel(
-        p_star=fit.params.as_vector(),
-        mod_star=model_response(fit.params, fixed, program),
-        jacobian=fit.jacobian,
-    )
+    return linearize_at(fit.params, fixed, program)
 
 
 def normal_solve_operator(jacobian: np.ndarray, scheme: WeightingScheme) -> np.ndarray:
@@ -122,14 +119,18 @@ def reidentify_linear(lin: LinearizedModel, scheme: WeightingScheme,
     return lin.p_star + g @ (exp + noise - lin.mod_star)
 
 
+def _nonzero_reference(p_star) -> np.ndarray:
+    ref = p_star.as_vector() if isinstance(p_star, HardeningParams) else np.asarray(p_star, dtype=float)
+    if np.any(ref == 0.0):
+        raise ZeroReferenceParameter("normalized variances need nonzero reference parameters")
+    return ref
+
+
 def normalized_variances(cloud, p_star) -> np.ndarray:
     """Population variances (divisor n) of p_i / p*_i over the cloud, in the
     fixed parameter order."""
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
-    ref = p_star.as_vector() if isinstance(p_star, HardeningParams) else np.asarray(p_star, dtype=float)
-    if np.any(ref == 0.0):
-        raise ZeroReferenceParameter("normalized variances need nonzero reference parameters")
-    return np.var(cloud / ref[None, :], axis=0)
+    return np.var(cloud / _nonzero_reference(p_star)[None, :], axis=0)
 
 
 @dataclass
@@ -161,7 +162,6 @@ def monte_carlo_cloud(
     n_instances: int,
     master_seed: int,
     metrics: Mapping[int, MetricSpec] | None = None,
-    workers: int = 1,
 ) -> CloudReport:
     """Re-identify parameters for n_instances independent noise draws.
 
@@ -169,12 +169,14 @@ def monte_carlo_cloud(
     is re-identified through one shared solve operator, so runs are
     reproducible and prefix-stable in n_instances. The cloud size per
     configured loading history is the mean stress-metric distance to p*,
-    evaluated with the full nonlinear model. ``workers`` is ignored.
+    evaluated with the full nonlinear model. A zero component of p* makes
+    the normalized variances undefined; that is raised before any draw.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     exp = np.asarray(exp, dtype=float)
     g = normal_solve_operator(lin.jacobian, scheme)
+    _nonzero_reference(lin.p_star)
 
     # same association as reidentify_linear so rows match it bit-for-bit
     cloud = np.empty((n_instances, len(lin.p_star)))
@@ -184,7 +186,7 @@ def monte_carlo_cloud(
 
     sizes = {}
     for key, spec in (metrics or {}).items():
-        dists = mechanics_distances(cloud, lin.p_star, spec, workers=workers)
+        dists = mechanics_distances(cloud, lin.p_star, spec)
         sizes[key] = float(np.mean(dists))
 
     return CloudReport(
@@ -197,8 +199,3 @@ def monte_carlo_cloud(
         n_instances=n_instances,
         outside_cone=np.any(cloud < 0.0, axis=1),
     )
-
-
-def cloud_header() -> list[str]:
-    """Column names of a serialized cloud, in the fixed parameter order."""
-    return list(PARAM_NAMES)

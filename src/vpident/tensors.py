@@ -85,14 +85,6 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetry_defect(a: np.ndarray) -> np.ndarray | float:
-    """Relative asymmetry ||A - A^T|| / ||A|| (0 for the zero tensor)."""
-    a = np.asarray(a)
-    n = frobenius_norm(a)
-    d = frobenius_norm(a - np.swapaxes(a, -1, -2))
-    return np.where(n > 0.0, d / np.where(n > 0.0, n, 1.0), 0.0)
-
-
 def is_positive_definite(a: np.ndarray, det_a=None) -> np.ndarray | bool:
     """Sylvester criterion for symmetric input, broadcast over the batch.
 

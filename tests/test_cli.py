@@ -6,7 +6,7 @@ import pytest
 
 from vpident.cli import main, read_data_file, read_param_file, write_param_file
 from vpident.config import DEFAULT_CONFIG, load_config
-from vpident.constitutive import PARAM_NAMES
+from vpident.constitutive import PARAM_NAMES, HardeningParams
 from vpident.errors import ConfigError
 
 
@@ -242,6 +242,28 @@ def test_montecarlo_integrates_the_base_point_once(small_config, tmp_path, monke
                  "--weighting", "all", "--history", "1",
                  "--out", str(tmp_path / "mc")]) == 0
     assert rows == [13]
+
+
+def test_montecarlo_zero_base_parameter_fails_before_the_draws(small_config, tmp_path,
+                                                              monkeypatch, capsys, truth):
+    """A zero component of the base point makes the normalized variances
+    undefined. The run exits 5 with the ZeroReferenceParameter message before
+    any noise draw or metric pass, and writes no CSV."""
+    from vpident import sensitivity
+
+    calls = []
+    monkeypatch.setattr(sensitivity, "mechanics_distances", lambda *a, **k: calls.append("metric"))
+    monkeypatch.setattr(sensitivity, "sample_noise", lambda *a, **k: calls.append("draw"))
+    params = tmp_path / "zero_beta.csv"
+    write_param_file(str(params), HardeningParams.from_vector(truth.as_vector() * [1, 0, 1, 1, 1, 1]))
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", small_config, "--instances", "50",
+                 "--weighting", "all", "--history", "1", "--params", str(params),
+                 "--out", str(out)]) == 5
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "numerical failure: normalized variances need nonzero reference parameters\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_montecarlo_cloud_columns(small_config, tmp_path):

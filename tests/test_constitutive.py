@@ -8,12 +8,8 @@ from vpident import (
     InternalState,
     backstresses,
     cauchy_response,
-    cauchy_stress,
     elastic_energy,
-    evolve_state,
-    isotropic_hardening,
     kinematic_energy,
-    overstress_and_multiplier,
     second_pk_stress,
     simple_shear_f,
     stress_state,
@@ -21,7 +17,7 @@ from vpident import (
 )
 from vpident import constitutive, tensors
 from vpident.constitutive import DET_TOL, _advance, _hp_arrays, run_path
-from vpident.errors import InvalidTimeGrid, NonPositiveDefinite
+from vpident.errors import InvalidTimeGrid, NonPositiveDefinite, NonPositiveDeterminant
 from vpident.identify import N_SUB_RESPONSE
 
 from conftest import random_spd, random_spd_unimodular
@@ -141,6 +137,15 @@ def test_backstresses_match_finite_difference(material, truth):
         assert np.max(np.abs(x2 - fd2)) <= 1e-6 * np.max(np.abs(x2))
 
 
+def isotropic_hardening(state, material):
+    return stress_state(np.eye(3), state, material).R
+
+
+def overstress_and_multiplier(f, state, material):
+    out = stress_state(f, state, material)
+    return out.overstress_f, out.driving_force_F, out.lambda_i
+
+
 def test_isotropic_hardening_values(material, truth):
     assert isotropic_hardening(InternalState.initial(), material) == 0.0
     state = InternalState(np.eye(3), np.eye(3), np.eye(3), 0.01, 0.0)
@@ -156,7 +161,7 @@ def test_overstress_and_multiplier(material):
     state = InternalState.initial()
     # elastic state: small shear keeps the driving force below yield
     f = simple_shear_f(1e-4)
-    over, drive, lam = overstress_and_multiplier(f.T @ f, state, material)
+    over, drive, lam = overstress_and_multiplier(f, state, material)
     assert drive < np.sqrt(2.0 / 3.0) * material.K
     assert over < 0.0 and lam == 0.0
 
@@ -172,8 +177,7 @@ def test_perzyna_multiplier_at_twice_the_normalizer(material):
     state = InternalState.initial()
 
     def overstress(gam):
-        f = simple_shear_f(gam)
-        return overstress_and_multiplier(f.T @ f, state, material)[0]
+        return overstress_and_multiplier(simple_shear_f(gam), state, material)[0]
 
     lo, hi = 1e-4, 0.02
     assert overstress(lo) < 2.0 and overstress(hi) > 2.0
@@ -185,9 +189,7 @@ def test_perzyna_multiplier_at_twice_the_normalizer(material):
             hi = mid
         if hi - lo < 1e-16:
             break
-    f_val, _, lam = overstress_and_multiplier(
-        simple_shear_f(hi).T @ simple_shear_f(hi), state, material
-    )
+    f_val, _, lam = overstress_and_multiplier(simple_shear_f(hi), state, material)
     assert f_val == pytest.approx(2.0 * material.k0, abs=1e-9)
     assert lam == pytest.approx(2.0**2.26 / 5.0e5, rel=1e-8)
 
@@ -197,8 +199,7 @@ def test_unit_overstress_gives_inverse_viscosity(material):
     state = InternalState.initial()
 
     def overstress(gam):
-        f = simple_shear_f(gam)
-        return overstress_and_multiplier(f.T @ f, state, material)[0]
+        return overstress_and_multiplier(simple_shear_f(gam), state, material)[0]
 
     lo, hi = 1e-4, 0.02
     for _ in range(200):
@@ -209,8 +210,7 @@ def test_unit_overstress_gives_inverse_viscosity(material):
             hi = mid
         if hi - lo < 1e-16:
             break
-    f = simple_shear_f(0.5 * (lo + hi))
-    f_val, _, lam = overstress_and_multiplier(f.T @ f, state, material)
+    f_val, _, lam = overstress_and_multiplier(simple_shear_f(0.5 * (lo + hi)), state, material)
     assert f_val == pytest.approx(material.k0, abs=1e-9)
     assert lam == pytest.approx(1.0 / material.eta, rel=1e-8)
 
@@ -251,42 +251,50 @@ def _final_state(prog, fs, material):
 # time integration
 
 
+def states_along(shear_of_t, material, grid):
+    """InternalState at every time of the grid (initial state included),
+    read through the run_path state sink from one step per interval of
+    simple shear."""
+    pvecs = material.hardening.as_vector()[None, :]
+    fs = np.stack([simple_shear_f(shear_of_t(t)) for t in grid])
+    states = []
+
+    def sink(i, state):
+        S, _, s, sd = state
+        states.append(InternalState(S[0, 0], S[1, 0], S[2, 0], float(s[0]), float(sd[0])))
+
+    run_path(fs, grid, material, pvecs, n_sub=1, sink=sink)
+    return states
+
+
 def test_evolve_purely_elastic_path_keeps_state_exactly(material):
     state0 = InternalState.initial()
     gam = 0.002  # well below the elastic limit
-
-    def c_of_t(t):
-        f = simple_shear_f(gam * np.sin(t))
-        return f.T @ f
-
-    trajectory = evolve_state(c_of_t, state0, material, 0.0, 6.0, 0.05)
+    trajectory = states_along(lambda t: gam * np.sin(t), material, np.linspace(0.0, 6.0, 121))
     last = trajectory[-1]
     assert np.array_equal(last.Ci, state0.Ci)
     assert np.array_equal(last.C1i, state0.C1i)
     assert np.array_equal(last.C2i, state0.C2i)
     assert last.s == 0.0 and last.sd == 0.0
     # loading-unloading returns exactly to zero stress
-    assert np.all(cauchy_stress(np.eye(3), last, material) == 0.0)
+    assert np.all(stress_state(np.eye(3), last, material).cauchy == 0.0)
 
 
-def test_evolve_state_invalid_grid(material):
-    state0 = InternalState.initial()
+def test_run_path_invalid_grid(material):
+    pv = material.hardening.as_vector()[None, :]
+    fs = np.stack([np.eye(3), np.eye(3)])
     with pytest.raises(InvalidTimeGrid):
-        evolve_state(lambda t: np.eye(3), state0, material, 1.0, 1.0, 0.1)
+        run_path(fs, np.array([1.0, 1.0]), material, pv)
     with pytest.raises(InvalidTimeGrid):
-        evolve_state(lambda t: np.eye(3), state0, material, 0.0, 1.0, -0.1)
+        run_path(fs, np.array([0.0, 1.0]), material, pv, n_sub=0)
 
 
 def test_monotonic_shear_flows_and_stays_unimodular(material):
     prog, _ = torsion_program(0.5, [0.05], 80, 25.0)
     shears = prog.shear_values
     times = prog.times()
-
-    def c_of_t(t):
-        f = simple_shear_f(np.interp(t, times, shears))
-        return f.T @ f
-
-    trajectory = evolve_state(c_of_t, InternalState.initial(), material, 0.0, 25.0, 0.125)
+    trajectory = states_along(lambda t: np.interp(t, times, shears), material,
+                              np.linspace(0.0, 25.0, 201))
     last = trajectory[-1]
     assert last.s > 0.0
     for state in trajectory:
@@ -352,7 +360,7 @@ def test_dissipation_sign_along_default_program(material, default_program):
 
 def test_cauchy_stress_trivial(material):
     state = InternalState.initial()
-    assert np.all(cauchy_stress(np.eye(3), state, material) == 0.0)
+    assert np.all(stress_state(np.eye(3), state, material).cauchy == 0.0)
 
 
 def test_cauchy_stress_matches_independent_product(material):
@@ -364,7 +372,7 @@ def test_cauchy_stress_matches_independent_product(material):
             continue
         t2 = second_pk_stress(f.T @ f, state, material)
         expected = f @ t2 @ f.T / np.linalg.det(f)
-        got = cauchy_stress(f, state, material)
+        got = stress_state(f, state, material).cauchy
         assert np.allclose(got, 0.5 * (expected + expected.T), rtol=1e-12, atol=1e-12)
 
 
@@ -482,3 +490,57 @@ def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
     for i, cauchy in streamed:
         assert cauchy.shape == (len(pvecs), 3, 3)
         assert np.array_equal(cauchy, stored[:, i])
+
+
+# ---------------------------------------------------------------------------
+# the path driver and its state sink
+
+
+def test_run_path_state_sink(material, truth):
+    """The sink gets the carried state once per sample, in order: the
+    identity state at i = 0 and, at the last sample, run_path's return."""
+    prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
+    pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.5] * 6, [1.5] * 6])
+    calls = []
+    final = run_path(fs, prog.times(), material, pvecs, n_sub=2,
+                     sink=lambda i, state: calls.append((i, state)))
+    assert [i for i, _ in calls] == list(range(len(fs)))
+    S, S_inv, s, sd = calls[0][1]
+    identity = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3))
+    assert np.array_equal(S, identity) and np.array_equal(S_inv, identity)
+    assert np.all(s == 0.0) and np.all(sd == 0.0)
+    S, S_inv, s, sd = calls[-1][1]
+    assert np.all(s > 0.0)
+    for got, want in zip((S[0], S[1], S[2], s, sd), final):
+        assert np.array_equal(got, want)
+
+
+def test_cauchy_response_rejects_nonpositive_det_f_sample(material):
+    """A sampled F with det F <= 0 raises before anything is integrated."""
+    pv = material.hardening.as_vector()[None, :]
+    streamed = []
+    for bad in (np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0])):
+        fs = np.stack([np.eye(3), simple_shear_f(0.01), bad])
+        with pytest.raises(NonPositiveDeterminant):
+            cauchy_response(fs, np.arange(3.0), material, pv)
+        with pytest.raises(NonPositiveDeterminant):
+            cauchy_response(fs, np.arange(3.0), material, pv, sink=lambda i, c: streamed.append(i))
+    assert streamed == []
+
+
+def test_drive_equals_the_reference_formula(material):
+    """stress_state's drive ||xi|| equals the deleted formula
+    ||dev(C T - Ci X)|| on random admissible states."""
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        f = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
+        state = InternalState(random_spd_unimodular(rng, 0.05), random_spd_unimodular(rng, 0.05),
+                              random_spd_unimodular(rng, 0.05), 0.02, 0.005)
+        c = f.T @ f
+        t = second_pk_stress(c, state, material)
+        _, _, x = backstresses(state, material)
+        expected = np.linalg.norm(tensors.deviator(c @ t - state.Ci @ x))
+        out = stress_state(f, state, material)
+        assert out.driving_force_F == pytest.approx(expected, rel=1e-12)
+        assert out.overstress_f == pytest.approx(
+            expected - np.sqrt(2.0 / 3.0) * (material.K + out.R), rel=1e-12)

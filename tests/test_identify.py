@@ -8,13 +8,11 @@ from vpident import (
     HardeningParams,
     LMOptions,
     WeightingScheme,
-    error_functional,
     fit_least_squares,
     jacobian_fd,
     levenberg_marquardt,
     model_response,
     torsion_program,
-    whiten,
 )
 from vpident.errors import DataError, DimensionMismatch, FactorizationFailure, StepFailure
 from vpident.identify import fd_step_sizes, model_response_batch
@@ -31,8 +29,8 @@ def random_spd_matrix(rng, n):
 
 def test_error_functional_trivial_cases():
     scheme = WeightingScheme.identity()
-    assert error_functional(np.zeros(4), scheme) == 0.0
-    assert error_functional(np.array([3.0, 4.0]), scheme) == 25.0
+    assert scheme.quadratic(np.zeros(4)) == 0.0
+    assert scheme.quadratic(np.array([3.0, 4.0])) == 25.0
 
 
 def test_error_functional_diagonal_matches_weighted_sum():
@@ -40,13 +38,13 @@ def test_error_functional_diagonal_matches_weighted_sum():
     scheme = WeightingScheme.diagonal(1.0 / sigmas**2)
     resid = np.array([1.0, -2.0, 3.0, 0.5])
     expected = np.sum(resid**2 / sigmas**2)
-    assert error_functional(resid, scheme) == pytest.approx(expected, rel=1e-14)
+    assert scheme.quadratic(resid) == pytest.approx(expected, rel=1e-14)
 
 
 def test_error_functional_dimension_mismatch():
     scheme = WeightingScheme.diagonal(np.ones(3))
     with pytest.raises(DimensionMismatch):
-        error_functional(np.ones(4), scheme)
+        scheme.quadratic(np.ones(4))
 
 
 def test_weighting_rejects_bad_matrices():
@@ -60,9 +58,9 @@ def test_weighting_rejects_bad_matrices():
 
 def test_whiten_identity_and_diagonal():
     resid = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(whiten(resid, WeightingScheme.identity()), resid)
+    assert np.array_equal(WeightingScheme.identity().whiten(resid), resid)
     d = np.array([4.0, 9.0, 16.0])
-    assert np.allclose(whiten(resid, WeightingScheme.diagonal(d)), np.sqrt(d) * resid)
+    assert np.allclose(WeightingScheme.diagonal(d).whiten(resid), np.sqrt(d) * resid)
 
 
 def test_whiten_norm_equals_quadratic_form():
@@ -72,7 +70,7 @@ def test_whiten_norm_equals_quadratic_form():
         scheme = WeightingScheme.full(w)
         r = rng.normal(size=6)
         direct = float(r @ w @ r)
-        assert np.linalg.norm(whiten(r, scheme)) ** 2 == pytest.approx(direct, rel=1e-9)
+        assert np.linalg.norm(scheme.whiten(r)) ** 2 == pytest.approx(direct, rel=1e-9)
 
 
 def test_whiten_factor_choices_give_same_functional():
@@ -309,9 +307,10 @@ def test_lm_failing_probe_row_falls_back_to_the_trial_alone():
 
 
 def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program):
-    """linearize() takes the fit's Jacobian as the one at the fitted
-    parameters: it must equal jacobian_fd there exactly, on a clean fit and
-    on noisy ones, the last with rejected trials."""
+    """The fit's Jacobian is the one at the fitted parameters: it equals
+    jacobian_fd there exactly, on a clean fit and on noisy ones, the last
+    with rejected trials. So linearize(), which recomputes it at
+    fit.params, hands on the fit's own Jacobian."""
     exp = model_response(truth, material, small_program)
     rng = np.random.default_rng(1)
     noisy = exp + rng.normal(size=len(exp)) * 20.0
@@ -392,8 +391,8 @@ def test_lm_formulation_equivalence_along_iterates(material, truth, small_progra
     start = HardeningParams.from_vector(truth.as_vector() * 1.15)
     fit = levenberg_marquardt(start, data, scheme, material, small_program)
     resid = data.observations - model_response(fit.params, material, small_program)
-    assert np.linalg.norm(whiten(resid, scheme)) ** 2 == pytest.approx(
-        error_functional(resid, scheme), rel=1e-9
+    assert np.linalg.norm(scheme.whiten(resid)) ** 2 == pytest.approx(
+        scheme.quadratic(resid), rel=1e-9
     )
 
 

@@ -84,7 +84,7 @@ def test_linearize_at_is_one_pass_equal_to_separate_calls(material, truth, small
 def test_linearize_requires_convergence(material, truth, small_program):
     from vpident.identify import FitResult
 
-    fake = FitResult(truth, 1.0, 3, np.zeros((small_program.n_points, 6)), False)
+    fake = FitResult(truth.as_vector(), 1.0, 3, np.zeros((small_program.n_points, 6)), False)
     with pytest.raises(ValueError):
         linearize(fake, material, small_program)
 
@@ -97,6 +97,9 @@ def test_linearize_from_fit(material, truth, small_program):
     lin = linearize(fit, material, small_program)
     assert lin.jacobian.shape == (data.n, 6)
     assert np.allclose(lin.p_star, truth.as_vector())
+    assert np.array_equal(lin.p_star, fit.x) and np.array_equal(fit.x, fit.params.as_vector())
+    assert np.array_equal(lin.jacobian, fit.jacobian)
+    assert np.array_equal(lin.mod_star, model_response(fit.params, material, small_program))
 
 
 def test_jacobian_column_scaling_under_reparametrization(material, truth, small_program):
@@ -270,14 +273,14 @@ def test_monte_carlo_matches_reidentify(material, mc_setup):
         assert np.array_equal(report.cloud[j], reidentify_linear(lin, scheme, exp, noise))
 
 
-def test_monte_carlo_workers_identical(material, truth, mc_setup):
+def test_monte_carlo_cloud_repeats_bit_for_bit(material, truth, mc_setup):
     exp, lin, metrics = mc_setup
     scheme = WeightingScheme.identity(len(exp))
     model = NoiseModel.two_source(10.0, 5.0)
-    seq = monte_carlo_cloud(lin, scheme, model, exp, 40, 5, metrics=metrics, workers=1)
-    par = monte_carlo_cloud(lin, scheme, model, exp, 40, 5, metrics=metrics, workers=4)
-    assert np.array_equal(seq.cloud, par.cloud)
-    assert seq.size_per_history == par.size_per_history
+    first = monte_carlo_cloud(lin, scheme, model, exp, 40, 5, metrics=metrics)
+    again = monte_carlo_cloud(lin, scheme, model, exp, 40, 5, metrics=metrics)
+    assert np.array_equal(first.cloud, again.cloud)
+    assert first.size_per_history == again.size_per_history
 
 
 def test_chunk_size_does_not_change_distances(material, truth, mc_setup):
@@ -299,10 +302,8 @@ def test_chunk_size_does_not_change_distances(material, truth, mc_setup):
 
 
 @settings(max_examples=8, deadline=None)
-@given(n_members=st.integers(1, 7), chunk=st.integers(1, 3), workers=st.integers(1, 3),
-       seed=st.integers(0, 2**32 - 1))
-def test_mechanics_distances_do_not_depend_on_chunk_or_workers(truth, mc_setup, n_members,
-                                                               chunk, workers, seed):
+@given(n_members=st.integers(1, 7), chunk=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_mechanics_distances_do_not_depend_on_chunk(truth, mc_setup, n_members, chunk, seed):
     from vpident import metric as metric_mod
     from vpident.metric import mechanics_distances
 
@@ -313,7 +314,7 @@ def test_mechanics_distances_do_not_depend_on_chunk_or_workers(truth, mc_setup, 
     old = metric_mod.CHUNK
     metric_mod.CHUNK = chunk
     try:
-        chunked = mechanics_distances(cloud, truth, spec, workers=workers)
+        chunked = mechanics_distances(cloud, truth, spec)
     finally:
         metric_mod.CHUNK = old
     assert np.array_equal(chunked, whole)
@@ -324,7 +325,7 @@ def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monke
                                                 n_members):
     """The reference rides in the first chunk: ceil(M / CHUNK) integrator
     passes, results equal to scoring against a separate reference pass, and
-    independent of the worker count."""
+    the same on a repeated call."""
     from vpident import metric as metric_mod
     from vpident.metric import mechanics_distances, stress_trajectories
 
@@ -345,9 +346,9 @@ def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monke
 
     monkeypatch.setattr(metric_mod, "cauchy_response", counting)
     monkeypatch.setattr(metric_mod, "CHUNK", 7)
-    for workers in (1, 3):
+    for _ in range(2):
         calls.clear()
-        assert np.array_equal(mechanics_distances(cloud, truth, spec, workers=workers), expected)
+        assert np.array_equal(mechanics_distances(cloud, truth, spec), expected)
         assert len(calls) == -(-n_members // 7)
         assert calls[0] == min(n_members, 7) + 1
 
