@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import WEIGHTING_ALIASES, RunConfig, load_config
 from .constitutive import PARAM_NAMES, HardeningParams
-from .errors import ConfigError, DataError, UnsupportedModel, VpidentError
+from .errors import ConfigError, DataError, VpidentError
 from .identify import (
     ExperimentData,
     WeightingScheme,
@@ -26,7 +26,7 @@ from .identify import (
 )
 from .loading import StrainProgram, benchmark_history
 from .metric import MetricSpec, check_metric_axioms, dist_euclidean, dist_euclidean_nondim, dist_mechanics
-from .noise import NoiseModel, covariance, sample_noise
+from .noise import NoiseModel, covariance, has_covariance, sample_noise
 from .sensitivity import CloudReport, linearize_at, monte_carlo_cloud
 
 
@@ -109,6 +109,13 @@ def write_param_file(path: str, params: HardeningParams, extra: dict | None = No
     _write_csv(path, ["name", "value"], rows)
 
 
+def _require_covariance(kind: str, noise_model: NoiseModel) -> None:
+    """ConfigError if the weighting needs a covariance the noise model lacks."""
+    if kind != "identity" and not has_covariance(noise_model):
+        raise ConfigError(f"weighting {kind!r}: no closed-form covariance is provided for "
+                          f"the {noise_model.kind.upper()} model")
+
+
 def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel) -> WeightingScheme:
     """Materialize a weighting strategy against a concrete data vector.
 
@@ -116,12 +123,10 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     inverse-covariance strategies undefined; every SPD weighting is then
     equivalent, so they fall back to the identity.
     """
+    _require_covariance(kind, noise_model)
     if kind == "identity":
         return WeightingScheme.identity(len(observations))
-    try:
-        cov = covariance(noise_model, observations)
-    except UnsupportedModel as err:
-        raise ConfigError(f"weighting {kind!r}: {err}") from None
+    cov = covariance(noise_model, observations)
     if not np.any(cov):
         return WeightingScheme.identity(len(observations))
     if kind == "diag_inverse_cov":
@@ -207,6 +212,8 @@ def write_cloud(path: str, report: CloudReport) -> None:
 def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
                    history_ids, params_path: str | None) -> int:
     base = read_param_file(params_path) if params_path else cfg.truth
+    for kind in schemes:  # before the linearization and the first draw
+        _require_covariance(kind, cfg.noise)
     lin = linearize_at(base, cfg.material, cfg.program)
     exp = lin.mod_star
     metrics = _metric_specs(cfg, history_ids)

@@ -92,7 +92,6 @@ class RunConfig:
     history_steps: int
     history_duration: float
     output_dir: str
-    raw: dict
 
 
 def _reject_unknown(block: dict, allowed, path: str) -> None:
@@ -229,7 +228,6 @@ def materialize(raw: dict) -> RunConfig:
         history_steps=history_steps,
         history_duration=history_duration,
         output_dir=output_dir,
-        raw=raw,
     )
 
 

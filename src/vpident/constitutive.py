@@ -410,27 +410,21 @@ def cauchy_response(
     material: MaterialParams,
     pvecs: np.ndarray,
     n_sub: int = 1,
-    sink: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray | None:
-    """(M, T, 3, 3) Cauchy stress histories at the sample points. With
-    ``sink``, none is stored and None is returned: ``sink(i, cauchy)`` gets
-    each sample's stresses as a fresh (M, 3, 3) array it may overwrite."""
+    *,
+    sink: Callable[[int, np.ndarray], None],
+) -> None:
+    """Stream the (M, 3, 3) Cauchy stresses at each sample point:
+    ``sink(i, cauchy)`` gets sample i's stresses as a fresh array it may
+    overwrite. No stress history is stored."""
     F_samples, times = _check_path(F_samples, times, n_sub)
     detF = det(F_samples)
     if np.any(detF <= 0.0):
         raise NonPositiveDeterminant("every sampled F must have det F > 0")
     C_obs = np.matmul(transpose(F_samples), F_samples)
     Cinv_obs = inverse(C_obs)
-    out = None
-    if sink is None:
-        out = np.empty((len(pvecs), len(times), 3, 3))
-
-        def sink(i, cauchy):
-            out[:, i] = cauchy
 
     def push_forward(i, state):
         t = _pk2_kernel(Cinv_obs[i], np.matmul(C_obs[i], state[1][0]), material.k, material.mu)
         sink(i, sym(np.matmul(F_samples[i], np.matmul(t, transpose(F_samples[i]))) / detF[i]))
 
     run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=push_forward)
-    return out

@@ -58,18 +58,20 @@ class ExperimentData:
 class WeightingScheme:
     """Symmetric positive definite weighting of the residual.
 
-    Identity and diagonal kinds store no full matrix; the dense matrix is
-    only materialized on request. The square root W^(1/2) of a full matrix
-    is the symmetric eigendecomposition root by default; a Cholesky factor
-    can be requested instead (any factor M with M^T M = W defines the same
-    functional, which the tests pin down). A full matrix is checked for
-    positive definiteness by a Cholesky factorization on construction; the
-    O(N^3) symmetric root is only computed by the first whiten() call and
-    then kept, since apply() and quadratic() never need it.
+    Identity and diagonal kinds store only the diagonal (identity is the
+    diagonal of ones); the dense matrix is only materialized on request. A
+    full matrix is checked for positive definiteness by a Cholesky
+    factorization on construction. Its square root W^(1/2) is the
+    symmetric eigendecomposition root (any factor M with M^T M = W defines
+    the same functional, which the tests pin down); that O(N^3) root is only
+    computed by the first whiten() call and then kept, since apply() and
+    quadratic() never need it.
     """
 
     def __init__(self, kind: str, diag: np.ndarray | None = None,
-                 full: np.ndarray | None = None, root: str = "sym"):
+                 full: np.ndarray | None = None):
+        if (diag is None) == (full is None):
+            raise ValueError("a weighting needs exactly one of a diagonal and a full matrix")
         self.kind = kind
         self._diag = None
         self._full = None
@@ -81,7 +83,7 @@ class WeightingScheme:
             if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
                 raise FactorizationFailure("diagonal weighting must be strictly positive")
             self._diag = d
-        if full is not None:
+        else:
             w = np.asarray(full, dtype=float)
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise FactorizationFailure("weighting matrix must be square")
@@ -90,62 +92,43 @@ class WeightingScheme:
                 raise FactorizationFailure("weighting matrix must be symmetric")
             w = 0.5 * (w + w.T)
             try:
-                factor = np.linalg.cholesky(w)
+                np.linalg.cholesky(w)
             except np.linalg.LinAlgError:
                 raise FactorizationFailure("weighting matrix is not positive definite") from None
-            if root == "cholesky":
-                self._root = factor.T
-            elif root != "sym":
-                raise ValueError(f"unknown root method {root!r}")
             self._full = w
 
     @classmethod
-    def identity(cls, n: int | None = None) -> "WeightingScheme":
-        scheme = cls("identity")
-        scheme._n = n
-        return scheme
+    def identity(cls, n: int) -> "WeightingScheme":
+        return cls("identity", diag=np.ones(n))
 
     @classmethod
-    def diagonal(cls, diag, kind: str = "diag_inverse_cov") -> "WeightingScheme":
-        return cls(kind, diag=diag)
+    def diagonal(cls, diag) -> "WeightingScheme":
+        return cls("diag_inverse_cov", diag=diag)
 
     @classmethod
-    def full(cls, matrix, kind: str = "full_inverse_cov", root: str = "sym") -> "WeightingScheme":
-        return cls(kind, full=matrix, root=root)
+    def full(cls, matrix) -> "WeightingScheme":
+        return cls("full_inverse_cov", full=matrix)
 
     @property
-    def n(self) -> int | None:
-        if self._diag is not None:
-            return len(self._diag)
-        if self._full is not None:
-            return len(self._full)
-        return getattr(self, "_n", None)
+    def n(self) -> int:
+        return len(self._diag if self._full is None else self._full)
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.n is not None and x.shape[0] != self.n:
+        if x.shape[0] != self.n:
             raise DimensionMismatch(f"expected leading dimension {self.n}, got {x.shape[0]}")
         return x
 
-    def matrix(self, n: int | None = None) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
         """Materialize W as a dense array."""
-        if self._full is not None:
-            return self._full.copy()
-        if self._diag is not None:
-            return np.diag(self._diag)
-        size = n if n is not None else self.n
-        if size is None:
-            raise DimensionMismatch("identity scheme needs an explicit size to materialize")
-        return np.eye(size)
+        return np.diag(self._diag) if self._full is None else self._full.copy()
 
     def quadratic(self, resid: np.ndarray) -> float:
         """Resid^T W Resid."""
         r = self._check(resid)
-        if self._full is not None:
-            return float(r @ (self._full @ r))
-        if self._diag is not None:
+        if self._full is None:
             return float(r @ (self._diag * r))
-        return float(r @ r)
+        return float(r @ (self._full @ r))
 
     def _sym_root(self) -> np.ndarray:
         vals, vecs = np.linalg.eigh(self._full)
@@ -156,23 +139,19 @@ class WeightingScheme:
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """W^(1/2) x for a vector or column-stacked matrix."""
         x = self._check(x)
-        if self._full is not None:
-            if self._root is None:
-                self._root = self._sym_root()
-            return self._root @ x
-        if self._diag is not None:
+        if self._full is None:
             s = np.sqrt(self._diag)
             return s * x if x.ndim == 1 else s[:, None] * x
-        return x.copy()
+        if self._root is None:
+            self._root = self._sym_root()
+        return self._root @ x
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x for a vector or column-stacked matrix."""
         x = self._check(x)
-        if self._full is not None:
-            return self._full @ x
-        if self._diag is not None:
+        if self._full is None:
             return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
-        return x.copy()
+        return self._full @ x
 
 
 def model_response(p, fixed: MaterialParams, program: StrainProgram,
@@ -184,10 +163,16 @@ def model_response(p, fixed: MaterialParams, program: StrainProgram,
 
 def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams, program: StrainProgram,
                          n_sub: int = N_SUB_RESPONSE) -> np.ndarray:
-    """(M, N) shear-stress responses for a batch of parameter vectors."""
-    f = program.deformation_gradients()
-    out = cauchy_response(f, program.times(), fixed, pvecs, n_sub=n_sub)
-    return out[:, :, 0, 1]
+    """(M, N) shear-stress responses for a batch of parameter vectors,
+    streamed from the integrator one sample at a time."""
+    out = np.empty((len(pvecs), program.n_points))
+
+    def keep_shear(i, cauchy):
+        out[:, i] = cauchy[:, 0, 1]
+
+    cauchy_response(program.deformation_gradients(), program.times(), fixed, pvecs,
+                    n_sub=n_sub, sink=keep_shear)
+    return out
 
 
 def fd_step_sizes(pvec: np.ndarray, rel_step: float = 1.0e-6, abs_floor: float = 1.0e-8) -> np.ndarray:
@@ -290,13 +275,12 @@ def fit_least_squares(
     response_batch: Callable[[np.ndarray], np.ndarray],
     scheme: WeightingScheme,
     opts: LMOptions | None = None,
-    jacobian_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     lower_bound: float | None = 0.0,
 ) -> FitResult:
     """Damped least squares on the whitened residual observations - response.
 
     response_batch maps (M, k) parameter rows to (M, N) responses; the
-    Jacobian defaults to central differences through the same function.
+    Jacobian is taken by central differences through the same function.
     The damping parameter grows by lambda_factor on rejected steps and
     shrinks on accepted ones, accepted steps never increase the functional,
     and candidate iterates are clipped to the lower bound before they are
@@ -304,15 +288,15 @@ def fit_least_squares(
     below it is held fixed for the iteration: it leaves the damped solve and
     the gradient test. Without an active bound both see every component.
 
-    Without jacobian_fn, every candidate (the start too) is evaluated in one
-    response_batch call together with its 2k central-difference probes, so
-    an accepted step already carries the Jacobian at the new iterate: one
-    call per trial. response_batch must therefore compute every row
-    independently of the other rows of its batch, bit for bit, as the
-    batched integrator does; otherwise residuals and Jacobians change at
-    round-off level with what a row is batched with. If that joined call
-    raises a VpidentError, the candidate is evaluated alone and its
-    Jacobian, should the step be accepted, in a separate call.
+    Every candidate (the start too) is evaluated in one response_batch call
+    together with its 2k central-difference probes, so an accepted step
+    already carries the Jacobian at the new iterate: one call per trial.
+    response_batch must therefore compute every row independently of the
+    other rows of its batch, bit for bit, as the batched integrator does;
+    otherwise residuals and Jacobians change at round-off level with what a
+    row is batched with. If that joined call raises a VpidentError, the
+    candidate is evaluated alone and its Jacobian, should the step be
+    accepted, in a separate call.
     """
     opts = opts or LMOptions()
     obs = np.asarray(observations, dtype=float)
@@ -328,20 +312,14 @@ def fit_least_squares(
 
     def evaluate(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Residual at vec and, where one call gives it, the Jacobian there."""
-        if jacobian_fn is None:
-            probes, h = _fd_probes(vec, opts.rel_step, opts.abs_floor)
-            try:
-                values = response_batch(np.vstack([vec[None, :], probes]))
-            except VpidentError:
-                pass  # a failing probe row must not end the trial
-            else:
-                return residual(values[0]), _fd_from_values(values[1:], h)
+        probes, h = _fd_probes(vec, opts.rel_step, opts.abs_floor)
+        try:
+            values = response_batch(np.vstack([vec[None, :], probes]))
+        except VpidentError:
+            pass  # a failing probe row must not end the trial
+        else:
+            return residual(values[0]), _fd_from_values(values[1:], h)
         return residual(response_batch(vec[None, :])[0]), None
-
-    def jac(vec: np.ndarray) -> np.ndarray:
-        if jacobian_fn is not None:
-            return np.asarray(jacobian_fn(vec), dtype=float)
-        return _fd_jacobian(vec, response_batch, opts.rel_step, opts.abs_floor)
 
     if obs.ndim != 1:
         raise DimensionMismatch("observations must form a vector")
@@ -357,7 +335,7 @@ def fit_least_squares(
     for it in range(1, opts.max_iter + 1):
         iterations = it
         if j is None:
-            j = jac(p)
+            j = _fd_jacobian(p, response_batch, opts.rel_step, opts.abs_floor)
         jw = scheme.whiten(j)
         rw = scheme.whiten(r)
         grad = jw.T @ rw
@@ -407,7 +385,7 @@ def fit_least_squares(
             break
 
     if j is None:
-        j = jac(p)
+        j = _fd_jacobian(p, response_batch, opts.rel_step, opts.abs_floor)
     return FitResult(p, phi, iterations, j, converged, history)
 
 

@@ -1,14 +1,15 @@
 """Distances between hardening-parameter sets.
 
-Three choices: the raw Euclidean norm (dimensionally meaningless, kept as
-a baseline), a non-dimensional Euclidean norm over characteristic values,
-and a stress-response distance: the maximum Frobenius-norm discrepancy of
-the Cauchy stress along a prescribed strain-controlled loading path. The
-last one is invariant under reparametrization of the model because it
-consumes nothing but the stress response; its price is that parameters
-which stay invisible along the path (for example hardening parameters on a
-purely elastic path) produce zero distance, which the axiom checker
-reports instead of hiding.
+The raw Euclidean norm (dimensionally meaningless) and a non-dimensional
+Euclidean norm over reference values are baselines. The distance the
+package uses is mechanics-based: the maximum Frobenius-norm discrepancy of
+the Cauchy stress along a prescribed strain-controlled loading path. It is
+invariant under reparametrization of the model because it consumes nothing
+but the stress response; its price is that parameters which stay invisible
+along the path (for example hardening parameters on a purely elastic path)
+produce zero distance, which the axiom checker reports instead of hiding.
+One streamed scorer computes it for clouds and axiom checks alike: it keeps
+a running maximum per pair of parameter sets and stores no stress history.
 """
 
 from __future__ import annotations
@@ -36,42 +37,24 @@ def _vec(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Which distance to use, plus everything the stress metric needs."""
+    """The loading path and material of the mechanics-based distance, and
+    the time grid it is sampled on."""
 
-    kind: str  # "euclidean" | "euclidean_nondim" | "mechanics"
-    reference: HardeningParams | None = None
-    history: DeformationHistory | None = None
-    material: MaterialParams | None = None
+    history: DeformationHistory
+    material: MaterialParams
     n_steps: int = 400
     n_sub: int = 1
 
     def __post_init__(self):
-        if self.kind == "euclidean_nondim":
-            if self.reference is None:
-                raise ValueError("non-dimensional metric needs reference values")
-            if np.any(self.reference.as_vector() == 0.0):
-                raise ZeroReferenceParameter("reference values must all be nonzero")
-        elif self.kind == "mechanics":
-            if self.history is None or self.material is None:
-                raise ValueError("mechanics metric needs a history and material constants")
-            if self.n_steps < 1 or self.n_sub < 1:
-                raise ValueError("time grid resolution must be positive")
-        elif self.kind != "euclidean":
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-
-    @classmethod
-    def euclidean(cls) -> "MetricSpec":
-        return cls("euclidean")
-
-    @classmethod
-    def euclidean_nondim(cls, reference: HardeningParams) -> "MetricSpec":
-        return cls("euclidean_nondim", reference=reference)
+        if self.history is None or self.material is None:
+            raise ValueError("mechanics metric needs a history and material constants")
+        if self.n_steps < 1 or self.n_sub < 1:
+            raise ValueError("time grid resolution must be positive")
 
     @classmethod
     def mechanics(cls, history: DeformationHistory, material: MaterialParams,
                   n_steps: int = 400, n_sub: int = 1) -> "MetricSpec":
-        return cls("mechanics", history=history, material=material,
-                   n_steps=n_steps, n_sub=n_sub)
+        return cls(history, material, n_steps=n_steps, n_sub=n_sub)
 
 
 def dist_euclidean(p1, p2) -> float:
@@ -87,14 +70,22 @@ def dist_euclidean_nondim(p1, p2, ref) -> float:
     return float(np.linalg.norm((_vec(p1) - _vec(p2)) / r))
 
 
-def stress_trajectories(spec: MetricSpec, pvecs: np.ndarray, sink=None) -> np.ndarray | None:
-    """(M, T, 3, 3) Cauchy-stress histories along the metric's loading path,
-    or None with every sample streamed to ``sink`` (see ``cauchy_response``)."""
-    if spec.kind != "mechanics":
-        raise ValueError("stress trajectories require a mechanics metric")
+def _max_gaps(spec: MetricSpec, rows: np.ndarray, n_refs: int) -> np.ndarray:
+    """(M, n_refs) max over the metric's time grid of ||T(t, row) -
+    T(t, ref)||_F, for every row of rows against each of its first n_refs
+    rows. All rows are integrated in one pass; each sample only raises a
+    running maximum of the squared norm, and one sqrt is taken at the end
+    (sqrt is monotone, so that is the max of the roots bit for bit)."""
     times, f = spec.history.grid(spec.n_steps)
-    return cauchy_response(f, times, spec.material, np.atleast_2d(pvecs), n_sub=spec.n_sub,
-                           sink=sink)
+    out = np.zeros((len(rows), n_refs))
+
+    def score(i, cauchy):
+        gap = cauchy[:, None] - cauchy[None, :n_refs]
+        gap *= gap
+        np.maximum(out, np.sum(gap, axis=(-2, -1)), out=out)
+
+    cauchy_response(f, times, spec.material, rows, n_sub=spec.n_sub, sink=score)
+    return np.sqrt(out, out=out)
 
 
 def dist_mechanics(p1, p2, spec: MetricSpec) -> float:
@@ -102,40 +93,20 @@ def dist_mechanics(p1, p2, spec: MetricSpec) -> float:
     return float(mechanics_distances(_vec(p2)[None], p1, spec)[0])
 
 
-def distance(spec: MetricSpec, p1, p2) -> float:
-    if spec.kind == "euclidean":
-        return dist_euclidean(p1, p2)
-    if spec.kind == "euclidean_nondim":
-        return dist_euclidean_nondim(p1, p2, spec.reference)
-    return dist_mechanics(p1, p2, spec)
-
-
 def mechanics_distances(pvecs: np.ndarray, ref, spec: MetricSpec) -> np.ndarray:
     """Stress-metric distance of every row of pvecs to one reference set.
 
-    The cloud is integrated in chunks of CHUNK members and scored as it
-    integrates: each sample only raises a running maximum of the squared
-    norm per member, so no stress history is stored. Row 0 of the first
-    chunk is the reference; batch rows are integrated independently, so
+    The cloud is scored in chunks of CHUNK members, each integrated with the
+    reference as its row 0; batch rows are integrated independently, so
     this equals a separate reference pass bit for bit.
     """
     pvecs = np.atleast_2d(np.asarray(pvecs, dtype=float))
-    ref_traj = []
+    lead = _vec(ref)[None, :]
     out = np.zeros(len(pvecs))
-    for start in range(0, max(len(pvecs), 1), CHUNK):
-        rows, part = pvecs[start:start + CHUNK], out[start:start + CHUNK]
-
-        def score(i, cauchy, part=part, lead=start == 0):
-            if lead:
-                ref_traj.append(cauchy[0].copy())
-                cauchy = cauchy[1:]
-            cauchy -= ref_traj[i]
-            cauchy *= cauchy
-            np.maximum(part, np.sum(cauchy, axis=(-2, -1)), out=part)
-
-        stress_trajectories(spec, np.vstack([_vec(ref)[None, :], rows]) if start == 0 else rows,
-                            sink=score)
-    return np.sqrt(out, out=out)  # sqrt is monotone: the max of the roots, bit for bit
+    for start in range(0, len(pvecs), CHUNK):
+        rows = np.vstack([lead, pvecs[start:start + CHUNK]])
+        out[start:start + CHUNK] = _max_gaps(spec, rows, 1)[1:, 0]
+    return out
 
 
 @dataclass
@@ -179,24 +150,14 @@ class AxiomReport:
 
 
 def check_metric_axioms(spec: MetricSpec, samples, slack: float = 1.0e-9) -> AxiomReport:
-    """Evaluate the metric axioms on every pair/triple of the samples."""
+    """Evaluate the metric axioms on every pair/triple of the samples, with
+    all pairwise distances from one streamed pass over the samples."""
     vecs = np.stack([_vec(s) for s in samples])
     n = len(vecs)
     if n < 3:
         raise ValueError("axiom checks need at least three samples")
 
-    d = np.zeros((n, n))
-    if spec.kind == "mechanics":
-        traj = stress_trajectories(spec, vecs)
-        for i in range(n):
-            diff = traj[i + 1:] - traj[i][None]
-            if len(diff):
-                d[i, i + 1:] = np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
-        d = d + d.T
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = distance(spec, vecs[i], vecs[j])
+    d = _max_gaps(spec, vecs, n)
 
     sym_defect = float(np.max(np.abs(d - d.T)))
     tri = d[:, None, :] - (d[:, :, None] + d[None, :, :])  # d(i,k) - d(i,j) - d(j,k)

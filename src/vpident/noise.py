@@ -99,18 +99,25 @@ def sample_noise_matrix(model: NoiseModel, exp: np.ndarray, master_seed: int,
     return out
 
 
+def has_covariance(model: NoiseModel) -> bool:
+    """Whether covariance() has a closed form for the model: white and
+    two-source noise do, AR noise does not."""
+    return model.kind != "ar"
+
+
 def covariance(model: NoiseModel, exp: np.ndarray) -> np.ndarray:
-    """Exact N x N noise covariance (white and two-source kinds only)."""
+    """Exact N x N noise covariance of a model with has_covariance()."""
     exp = np.asarray(exp, dtype=float)
     if exp.ndim != 1 or len(exp) == 0:
         raise DegenerateData("signal must be a non-empty vector")
+    if not has_covariance(model):
+        raise UnsupportedModel(f"no closed-form covariance is provided for the "
+                               f"{model.kind.upper()} model")
     n = len(exp)
     if model.kind == "white":
         return model.sigma**2 * np.eye(n)
-    if model.kind == "two_source":
-        peak = np.max(np.abs(exp))
-        if peak == 0.0:
-            raise DegenerateData("two-source covariance needs a nonzero signal")
-        shape = exp / peak
-        return model.sigma1**2 * np.eye(n) + model.sigma2**2 * np.outer(shape, shape)
-    raise UnsupportedModel("no closed-form covariance is provided for the AR model")
+    peak = np.max(np.abs(exp))
+    if peak == 0.0:
+        raise DegenerateData("two-source covariance needs a nonzero signal")
+    shape = exp / peak
+    return model.sigma1**2 * np.eye(n) + model.sigma2**2 * np.outer(shape, shape)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vpident import HardeningParams, MaterialParams, torsion_program
+from vpident import HardeningParams, MaterialParams, cauchy_response, torsion_program
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +38,18 @@ def random_spd(rng, scale=0.1):
 def random_spd_unimodular(rng, scale=0.1):
     a = random_spd(rng, scale)
     return a / np.cbrt(np.linalg.det(a))
+
+
+def stored_cauchy(F_samples, times, material, pvecs, n_sub=1):
+    """(M, T, 3, 3) Cauchy stress histories, collected from cauchy_response's
+    sink: the program streams them and stores none."""
+    rows = []
+    cauchy_response(F_samples, times, material, np.atleast_2d(pvecs), n_sub=n_sub,
+                    sink=lambda i, cauchy: rows.append(cauchy))
+    return np.stack(rows, axis=1)
+
+
+def metric_trajectories(spec, pvecs):
+    """stored_cauchy along a mechanics metric's loading path and time grid."""
+    times, f = spec.history.grid(spec.n_steps)
+    return stored_cauchy(f, times, spec.material, pvecs, n_sub=spec.n_sub)

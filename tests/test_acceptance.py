@@ -203,7 +203,7 @@ def test_criterion_04_closed_form_correctness():
         noise = 0.3 * rng.normal(size=n)
         closed = reidentify_linear(lin, scheme, exp, noise)
         raw = fit_least_squares(lin.p_star, exp + noise, lin.response, scheme,
-                                jacobian_fn=lambda p: jac, lower_bound=None)
+                                lower_bound=None)
         worst_lm = max(worst_lm, np.max(np.abs(raw.x - closed) / np.abs(closed)))
 
     worst_restore = 0.0

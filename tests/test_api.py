@@ -1,9 +1,13 @@
 """The public names of the package, pinned: adding or removing one is a
-deliberate change of this list."""
+deliberate change of this list. So are the signatures that the benchmark's
+tracer (perfbench/tracing.py) binds by parameter name: renaming one would
+silently zero a traced layer."""
 
+import inspect
 import types
 
 import vpident
+from vpident import constitutive, identify, metric
 
 PUBLIC = [
     "AxiomReport", "CloudReport", "DeformationHistory", "ExperimentData", "FitResult",
@@ -24,3 +28,22 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(vpident).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC
+
+
+def test_traced_signatures_are_pinned():
+    """cauchy_response(F_samples, times, material, pvecs, n_sub=1, *, sink);
+    the tracer reads times, n_sub and pvecs, and pvecs of the response and
+    the metric scoring."""
+    empty = inspect.Parameter.empty
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = inspect.signature(constitutive.cauchy_response).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        ("F_samples", positional, empty), ("times", positional, empty),
+        ("material", positional, empty), ("pvecs", positional, empty),
+        ("n_sub", positional, 1), ("sink", inspect.Parameter.KEYWORD_ONLY, empty),
+    ]
+    # the tracer wraps the integration at both import sites
+    assert identify.cauchy_response is constitutive.cauchy_response
+    assert metric.cauchy_response is constitutive.cauchy_response
+    for fn in (identify.model_response_batch, metric.mechanics_distances):
+        assert "pvecs" in inspect.signature(fn).parameters

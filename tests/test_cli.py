@@ -266,6 +266,33 @@ def test_montecarlo_zero_base_parameter_fails_before_the_draws(small_config, tmp
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_montecarlo_ar_noise_fails_before_the_linearization(tmp_path, monkeypatch, capsys):
+    """AR noise has no closed-form covariance. --weighting all exits 2 with
+    the covariance message before the linearization and any noise draw, and
+    writes no CSV; --weighting identity needs no covariance and exits 0."""
+    from vpident import cli, sensitivity
+
+    path = tmp_path / "ar.json"
+    path.write_text(json.dumps({**SMALL, "noise": {"kind": "ar", "alpha": 0.5, "sigma": 2.0}}))
+    calls = []
+    linearize = cli.linearize_at
+    monkeypatch.setattr(cli, "linearize_at", lambda *a: calls.append("lin") or linearize(*a))
+    draw = sensitivity.sample_noise
+    monkeypatch.setattr(sensitivity, "sample_noise", lambda *a: calls.append("draw") or draw(*a))
+    out = tmp_path / "mc"
+    argv = ["montecarlo", "--config", str(path), "--instances", "5", "--history", "1",
+            "--out", str(out)]
+    assert main(argv + ["--weighting", "all"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "configuration error: weighting 'diag_inverse_cov': no closed-form covariance is "
+        "provided for the AR model\n")
+    assert not out.exists() or not any(out.iterdir())
+    assert main(argv + ["--weighting", "identity"]) == 0
+    assert calls == ["lin"] + ["draw"] * 5
+    assert sorted(os.listdir(out)) == ["cloud_identity.csv", "mc_summary.csv"]
+
+
 def test_montecarlo_cloud_columns(small_config, tmp_path):
     out = str(tmp_path / "mc")
     assert main(["montecarlo", "--config", small_config, "--instances", "8",

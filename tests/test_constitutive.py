@@ -20,7 +20,7 @@ from vpident.constitutive import DET_TOL, _advance, _hp_arrays, run_path
 from vpident.errors import InvalidTimeGrid, NonPositiveDefinite, NonPositiveDeterminant
 from vpident.identify import N_SUB_RESPONSE
 
-from conftest import random_spd, random_spd_unimodular
+from conftest import random_spd, random_spd_unimodular, stored_cauchy
 
 
 def fd_stress_from_energy(energy, h=1e-6):
@@ -311,24 +311,24 @@ def test_reference_solution_from_finer_grid(material):
     """10x finer integration of the same scheme confirms the coarse run."""
     prog, fs = torsion_program(0.5, [0.05], 50, 25.0)
     pv = material.hardening.as_vector()[None, :]
-    coarse = cauchy_response(fs, prog.times(), material, pv, n_sub=1)[0, -1, 0, 1]
-    fine = cauchy_response(fs, prog.times(), material, pv, n_sub=10)[0, -1, 0, 1]
+    coarse = stored_cauchy(fs, prog.times(), material, pv, n_sub=1)[0, -1, 0, 1]
+    fine = stored_cauchy(fs, prog.times(), material, pv, n_sub=10)[0, -1, 0, 1]
     assert coarse == pytest.approx(fine, rel=5e-3)
 
 
 def test_halving_dt_changes_stress_below_half_percent(material):
     prog, fs = torsion_program(0.5, [0.2], 100, 94.0)
     pv = material.hardening.as_vector()[None, :]
-    base = cauchy_response(fs, prog.times(), material, pv, n_sub=1)[0, -1, 0, 1]
-    halved = cauchy_response(fs, prog.times(), material, pv, n_sub=2)[0, -1, 0, 1]
+    base = stored_cauchy(fs, prog.times(), material, pv, n_sub=1)[0, -1, 0, 1]
+    halved = stored_cauchy(fs, prog.times(), material, pv, n_sub=2)[0, -1, 0, 1]
     assert abs(base - halved) / abs(halved) < 0.005
 
 
 def test_self_convergence_order_at_least_one(material):
     prog, fs = torsion_program(0.5, [0.2], 100, 94.0)
     pv = material.hardening.as_vector()[None, :]
-    ref = cauchy_response(fs, prog.times(), material, pv, n_sub=16)[0, -1, 0, 1]
-    errors = [abs(cauchy_response(fs, prog.times(), material, pv, n_sub=ns)[0, -1, 0, 1] - ref)
+    ref = stored_cauchy(fs, prog.times(), material, pv, n_sub=16)[0, -1, 0, 1]
+    errors = [abs(stored_cauchy(fs, prog.times(), material, pv, n_sub=ns)[0, -1, 0, 1] - ref)
               for ns in (1, 2, 4)]
     order12 = np.log2(errors[0] / errors[1])
     order24 = np.log2(errors[1] / errors[2])
@@ -339,7 +339,7 @@ def test_self_convergence_order_at_least_one(material):
 def test_small_strain_shear_tangent(material):
     prog, fs = torsion_program(0.5, [1e-4], 20, 1.0)
     pv = material.hardening.as_vector()[None, :]
-    t12 = cauchy_response(fs, prog.times(), material, pv, n_sub=1)[0, :, 0, 1]
+    t12 = stored_cauchy(fs, prog.times(), material, pv, n_sub=1)[0, :, 0, 1]
     expected = material.mu * prog.shear_values
     assert np.allclose(t12[1:], expected[1:], rtol=0.01)
 
@@ -464,7 +464,7 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
 
     monkeypatch.setattr(constitutive, "_advance", recording)
     times = np.arange(len(fs), dtype=float)
-    constitutive.cauchy_response(fs, times, material, pvecs)
+    constitutive.cauchy_response(fs, times, material, pvecs, sink=lambda i, cauchy: None)
     n_plastic = sum(plastic)
     assert 0 < n_plastic < len(plastic) == len(fs) - 1
     assert calls["inverse"] == 2 + n_plastic
@@ -472,12 +472,14 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
 
 
 def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
-    """With a sink nothing is stored and None is returned; every sample
-    arrives as a fresh (M, 3, 3) array equal bit for bit to that sample of
-    the stored (M, T, 3, 3) result, and overwriting it changes nothing."""
+    """Nothing is stored and None is returned; every sample arrives, in
+    order, as a fresh (M, 3, 3) array equal bit for bit to that sample of
+    the (M, T, 3, 3) history a collector stored from a separate call, and
+    overwriting it changes nothing."""
     prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
     pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.5] * 6, [1.5] * 6])
-    stored = constitutive.cauchy_response(fs, prog.times(), material, pvecs, n_sub=2)
+    stored = stored_cauchy(fs, prog.times(), material, pvecs, n_sub=2)
+    assert stored.shape == (len(pvecs), len(fs), 3, 3)
     streamed = []
 
     def sink(i, cauchy):
@@ -522,7 +524,7 @@ def test_cauchy_response_rejects_nonpositive_det_f_sample(material):
     for bad in (np.diag([1.0, 1.0, -1.0]), np.diag([1.0, 1.0, 0.0])):
         fs = np.stack([np.eye(3), simple_shear_f(0.01), bad])
         with pytest.raises(NonPositiveDeterminant):
-            cauchy_response(fs, np.arange(3.0), material, pv)
+            stored_cauchy(fs, np.arange(3.0), material, pv)
         with pytest.raises(NonPositiveDeterminant):
             cauchy_response(fs, np.arange(3.0), material, pv, sink=lambda i, c: streamed.append(i))
     assert streamed == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from vpident import (
     torsion_program,
 )
 from vpident.errors import DataError, DimensionMismatch, FactorizationFailure, StepFailure
-from vpident.identify import fd_step_sizes, model_response_batch
+from vpident.identify import N_SUB_RESPONSE, fd_step_sizes, model_response_batch
+
+from conftest import stored_cauchy
 
 
 def random_spd_matrix(rng, n):
@@ -23,14 +27,25 @@ def random_spd_matrix(rng, n):
     return g @ g.T + n * np.eye(n)
 
 
+class CholeskyWhitened(WeightingScheme):
+    """The full weighting W whitened by its Cholesky factor R (R^T R = W),
+    built here, in place of the program's symmetric root."""
+
+    def __init__(self, w):
+        super().__init__("full_inverse_cov", full=w)
+        self.factor = np.linalg.cholesky(self.matrix()).T
+
+    def whiten(self, x):
+        return self.factor @ self._check(x)
+
+
 # ---------------------------------------------------------------------------
 # weighting and the error functional
 
 
 def test_error_functional_trivial_cases():
-    scheme = WeightingScheme.identity()
-    assert scheme.quadratic(np.zeros(4)) == 0.0
-    assert scheme.quadratic(np.array([3.0, 4.0])) == 25.0
+    assert WeightingScheme.identity(4).quadratic(np.zeros(4)) == 0.0
+    assert WeightingScheme.identity(2).quadratic(np.array([3.0, 4.0])) == 25.0
 
 
 def test_error_functional_diagonal_matches_weighted_sum():
@@ -45,6 +60,8 @@ def test_error_functional_dimension_mismatch():
     scheme = WeightingScheme.diagonal(np.ones(3))
     with pytest.raises(DimensionMismatch):
         scheme.quadratic(np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        WeightingScheme.identity(3).quadratic(np.ones(4))
 
 
 def test_weighting_rejects_bad_matrices():
@@ -58,7 +75,7 @@ def test_weighting_rejects_bad_matrices():
 
 def test_whiten_identity_and_diagonal():
     resid = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(WeightingScheme.identity().whiten(resid), resid)
+    assert np.array_equal(WeightingScheme.identity(3).whiten(resid), resid)
     d = np.array([4.0, 9.0, 16.0])
     assert np.allclose(WeightingScheme.diagonal(d).whiten(resid), np.sqrt(d) * resid)
 
@@ -77,10 +94,10 @@ def test_whiten_factor_choices_give_same_functional():
     rng = np.random.default_rng(23)
     w = random_spd_matrix(rng, 5)
     r = rng.normal(size=5)
-    sym = WeightingScheme.full(w, root="sym")
-    chol = WeightingScheme.full(w, root="cholesky")
+    sym = WeightingScheme.full(w)
+    chol = np.linalg.cholesky(0.5 * (w + w.T)).T
     assert np.linalg.norm(sym.whiten(r)) ** 2 == pytest.approx(
-        np.linalg.norm(chol.whiten(r)) ** 2, rel=1e-12
+        np.linalg.norm(chol @ r) ** 2, rel=1e-12
     )
 
 
@@ -106,9 +123,8 @@ def test_full_weighting_computes_its_root_on_first_whiten(monkeypatch):
     scheme.whiten(np.eye(7))
     assert calls == [(7, 7)]
     assert np.array_equal(scheme._root, eager)
-    # the Cholesky factor is kept from construction
-    chol = WeightingScheme.full(w, root="cholesky")
-    assert np.array_equal(chol.whiten(r), np.linalg.cholesky(0.5 * (w + w.T)).T @ r)
+    # the root is kept: whitening again makes no new eigendecomposition
+    assert np.array_equal(scheme.whiten(r), eager @ r)
     assert calls == [(7, 7)]
 
 
@@ -370,9 +386,8 @@ def test_lm_result_invariant_to_whitening_factor(material, truth, small_program)
     w = random_spd_matrix(rng, data.n) / data.n
     start = HardeningParams.from_vector(truth.as_vector() * 1.1)
     fits = [
-        levenberg_marquardt(start, data, WeightingScheme.full(w, root=root),
-                            material, small_program)
-        for root in ("sym", "cholesky")
+        levenberg_marquardt(start, data, scheme, material, small_program)
+        for scheme in (WeightingScheme.full(w), CholeskyWhitened(w))
     ]
     rel = np.abs(fits[0].params.as_vector() - fits[1].params.as_vector())
     rel /= np.abs(fits[0].params.as_vector())
@@ -407,6 +422,28 @@ def test_batched_response_matches_single(material, truth, small_program):
     batch = model_response_batch(vecs, material, small_program)
     single0 = model_response(truth, material, small_program)
     assert np.array_equal(batch[0], single0)
+
+
+def test_batched_response_streams_the_shear_component(material, truth):
+    """model_response_batch keeps only the shear component: it equals T_12 of
+    the stored histories bit for bit, and its 13 rows add under a quarter of
+    one stored (13, T, 3, 3) history to the traced peak of a 1-row call (the
+    (T, 3, 3) arrays of the path itself do not grow with the rows)."""
+    program, fs = torsion_program(0.5, [0.25, -0.2, 0.3], 400, 250.0)
+    vecs = truth.as_vector()[None, :] * np.linspace(0.8, 1.2, 13)[:, None]
+    times = program.times()
+    stored = stored_cauchy(fs, times, material, vecs, n_sub=N_SUB_RESPONSE)
+    assert np.array_equal(model_response_batch(vecs, material, program), stored[:, :, 0, 1])
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            model_response_batch(rows, material, program)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(vecs) - peak(vecs[:1]) < 13 * len(times) * 72 / 4
 
 
 # A parameter factor of the truth: 0 (the admissible bound) or 0.5 to 2.

@@ -15,7 +15,8 @@ from vpident import (
 )
 from vpident.errors import ZeroReferenceParameter
 from vpident.loading import DeformationHistory
-from vpident.metric import stress_trajectories
+
+from conftest import metric_trajectories
 
 
 def perturbed(base, rng, scale=0.1):
@@ -76,11 +77,13 @@ def test_nondim_consistency_identity(truth):
 
 def test_metric_spec_validation(material, truth):
     with pytest.raises(ZeroReferenceParameter):
-        MetricSpec.euclidean_nondim(
-            HardeningParams(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        )
+        dist_euclidean_nondim(truth, truth, HardeningParams(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        MetricSpec("mechanics")
+        MetricSpec.mechanics(None, material)
+    with pytest.raises(ValueError):
+        MetricSpec.mechanics(benchmark_history(1), None)
+    with pytest.raises(ValueError):
+        MetricSpec.mechanics(benchmark_history(1), material, n_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +146,7 @@ def test_dist_mechanics_equals_the_stored_trajectory_formula(truth, mech_spec, m
     rng = np.random.default_rng(11)
     for _ in range(4):
         p1, p2 = perturbed(truth, rng, 0.15), perturbed(truth, rng, 0.15)
-        out = stress_trajectories(spec, np.stack([p1.as_vector(), p2.as_vector()]))
+        out = metric_trajectories(spec, np.stack([p1.as_vector(), p2.as_vector()]))
         diff = out[0] - out[1]
         expected = float(np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1)))))
         assert dist_mechanics(p1, p2, spec) == expected
@@ -206,6 +209,59 @@ def test_axioms_report_elastic_separation_failure(material, truth):
     assert len(report.separation_violations) == 3
     assert report.nonnegativity_ok and report.triangle_ok
     assert "VIOLATED" in report.summary()
+
+
+def stored_axiom_distances(spec, vecs):
+    """The pairwise distance matrix from stored trajectories: the reference
+    formula max_t ||T(t, p_i) - T(t, p_j)||_F over the upper triangle,
+    mirrored."""
+    traj = metric_trajectories(spec, vecs)
+    n = len(vecs)
+    d = np.zeros((n, n))
+    for i in range(n):
+        diff = traj[i + 1:] - traj[i][None]
+        if len(diff):
+            d[i, i + 1:] = np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
+    return d + d.T
+
+
+@pytest.mark.parametrize("history", ["h1", "h2", "elastic"])
+def test_axiom_distances_equal_the_stored_trajectory_formula(material, truth, mech_spec,
+                                                             mech_spec_h2, history):
+    """check_metric_axioms streams its pairwise distances in one pass; they
+    equal the stored-trajectory formula bit for bit."""
+    spec = {"h1": mech_spec, "h2": mech_spec_h2,
+            "elastic": MetricSpec.mechanics(elastic_history(), material, n_steps=60)}[history]
+    rng = np.random.default_rng(13)
+    samples = [truth, truth] + [perturbed(truth, rng, 0.15) for _ in range(4)]
+    vecs = np.stack([p.as_vector() for p in samples])
+    report = check_metric_axioms(spec, samples)
+    assert np.array_equal(report.distances, stored_axiom_distances(spec, vecs))
+    assert report.max_symmetry_defect == 0.0
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_axiom_check_stores_no_stress_history(truth, material):
+    """The axiom check streams through the integrator. The (T, 3, 3) arrays
+    of the path itself do not grow with the sample count, so the bound is on
+    what 12 samples add over 3: under a quarter of one stored (12, T, 3, 3)
+    history."""
+    spec = MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=400)
+    rng = np.random.default_rng(14)
+    samples = [perturbed(truth, rng, 0.05) for _ in range(12)]
+    check_metric_axioms(spec, samples[:3])  # warm up
+    growth = traced_peak(check_metric_axioms, spec, samples) - traced_peak(
+        check_metric_axioms, spec, samples[:3])
+    assert growth < 12 * 401 * 72 / 4
 
 
 def test_axioms_need_three_samples(truth, mech_spec):

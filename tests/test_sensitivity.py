@@ -23,6 +23,8 @@ from vpident import (
 from vpident.errors import SingularNormalMatrix, ZeroReferenceParameter
 from vpident.identify import ExperimentData
 
+from conftest import metric_trajectories
+
 
 def random_instance(rng, n=8, k=3):
     jac = rng.normal(size=(n, k))
@@ -172,24 +174,25 @@ def test_reidentify_agrees_with_lm_solve():
         exp = lin.mod_star + rng.normal(size=10) * 0.3
         noise = rng.normal(size=10) * 0.3
         closed = reidentify_linear(lin, scheme, exp, noise)
-        raw = fit_least_squares(
-            lin.p_star, exp + noise, lin.response, scheme,
-            jacobian_fn=lambda p: lin.jacobian, lower_bound=None,
-        )
+        raw = fit_least_squares(lin.p_star, exp + noise, lin.response, scheme,
+                                lower_bound=None)
         assert raw.converged
         assert np.max(np.abs(raw.x - closed) / np.abs(closed)) < 1e-8
 
 
 def test_reidentify_factor_invariance():
-    """The implemented form uses W directly, so results cannot depend on how
-    a square root of W would be factored."""
+    """The implemented form uses W directly, so it equals the least-squares
+    solution whitened by any square root of W, here a Cholesky factor R
+    (R^T R = W) built in the test."""
     rng = np.random.default_rng(12)
     lin = random_instance(rng, n=9, k=3)
     w = random_spd_matrix(rng, 9)
     exp = lin.mod_star + rng.normal(size=9)
     noise = rng.normal(size=9)
-    p_sym = reidentify_linear(lin, WeightingScheme.full(w, root="sym"), exp, noise)
-    p_chol = reidentify_linear(lin, WeightingScheme.full(w, root="cholesky"), exp, noise)
+    p_sym = reidentify_linear(lin, WeightingScheme.full(w), exp, noise)
+    r = np.linalg.cholesky(0.5 * (w + w.T)).T
+    step = np.linalg.lstsq(r @ lin.jacobian, r @ (exp + noise - lin.mod_star), rcond=None)[0]
+    p_chol = lin.p_star + step
     assert np.max(np.abs(p_sym - p_chol) / np.abs(p_sym)) < 1e-10
 
 
@@ -323,18 +326,19 @@ def test_mechanics_distances_do_not_depend_on_chunk(truth, mc_setup, n_members, 
 @pytest.mark.parametrize("n_members", [1, 7, 30])
 def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monkeypatch,
                                                 n_members):
-    """The reference rides in the first chunk: ceil(M / CHUNK) integrator
-    passes, results equal to scoring against a separate reference pass, and
-    the same on a repeated call."""
+    """The reference rides as row 0 of every chunk: ceil(M / CHUNK)
+    integrator passes of one chunk plus the reference each, results equal to
+    scoring against a separate reference pass, and the same on a repeated
+    call."""
     from vpident import metric as metric_mod
-    from vpident.metric import mechanics_distances, stress_trajectories
+    from vpident.metric import mechanics_distances
 
     exp, lin, metrics = mc_setup
     spec = metrics[1]
     rng = np.random.default_rng(3)
     cloud = lin.p_star[None, :] * (1.0 + 0.02 * rng.standard_normal((n_members, 6)))
-    ref_traj = stress_trajectories(spec, truth.as_vector()[None, :])[0]
-    diff = stress_trajectories(spec, cloud) - ref_traj[None]
+    ref_traj = metric_trajectories(spec, truth.as_vector())[0]
+    diff = metric_trajectories(spec, cloud) - ref_traj[None]
     expected = np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1))), axis=1)
 
     calls = []
@@ -351,6 +355,7 @@ def test_mechanics_distances_one_pass_per_chunk(material, truth, mc_setup, monke
         assert np.array_equal(mechanics_distances(cloud, truth, spec), expected)
         assert len(calls) == -(-n_members // 7)
         assert calls[0] == min(n_members, 7) + 1
+        assert calls == [min(n_members - start, 7) + 1 for start in range(0, n_members, 7)]
 
 
 def test_members_accessor_wraps_admissible(material, mc_setup):
