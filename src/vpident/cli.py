@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import WEIGHTING_ALIASES, RunConfig, load_config
 from .constitutive import PARAM_NAMES, HardeningParams
-from .errors import ConfigError, DataError, VpidentError
+from .errors import ConfigError, DataError, FactorizationFailure, VpidentError
 from .identify import (
     ExperimentData,
     WeightingScheme,
@@ -47,30 +47,39 @@ def _write_csv(path: str, header: list, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def read_data_file(path: str) -> ExperimentData:
-    """CSV with header 'strain,stress', one observation per row."""
+def _read_rows(path: str, header: list, what: str) -> list:
+    """(line number, first, second) of every non-blank row of a two-column
+    CSV file that starts with the given header."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["strain", "stress"]:
-                raise DataError(f"{path}: expected header 'strain,stress'")
-            strains, stresses = [], []
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != header:
+                raise DataError(f"{path}: expected header '{','.join(header)}'")
+            rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 2:
                     raise DataError(f"{path}:{lineno}: expected two columns")
-                try:
-                    strains.append(float(row[0]))
-                    stresses.append(float(row[1]))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: values must be numeric") from None
+                rows.append((lineno, row[0], row[1]))
     except OSError as err:
-        raise DataError(f"cannot read data file {path}: {err}") from None
+        raise DataError(f"cannot read {what} file {path}: {err}") from None
+    return rows
+
+
+def read_data_file(path: str) -> ExperimentData:
+    """CSV with header 'strain,stress', one observation per row."""
+    strains, stresses = [], []
+    for lineno, strain, stress in _read_rows(path, ["strain", "stress"], "data"):
+        try:
+            strains.append(float(strain))
+            stresses.append(float(stress))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: values must be numeric") from None
     if len(strains) < 2:
         raise DataError(f"{path}: need at least two observations")
-    return ExperimentData(np.array(stresses), np.array(strains), metadata=f"file:{path}")
+    return ExperimentData(np.array(stresses), np.array(strains))
 
 
 def write_data_file(path: str, strains: np.ndarray, stresses: np.ndarray) -> None:
@@ -79,21 +88,8 @@ def write_data_file(path: str, strains: np.ndarray, stresses: np.ndarray) -> Non
 
 def read_param_file(path: str) -> HardeningParams:
     """CSV with header 'name,value' carrying the six hardening parameters."""
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["name", "value"]:
-                raise DataError(f"{path}: expected header 'name,value'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"{path}:{lineno}: expected two columns")
-                values[row[0].strip()] = row[1]
-    except OSError as err:
-        raise DataError(f"cannot read parameter file {path}: {err}") from None
+    rows = _read_rows(path, ["name", "value"], "parameter")
+    values = {name.strip(): value for _, name, value in rows}
     missing = [n for n in PARAM_NAMES if n not in values]
     if missing:
         raise DataError(f"{path}: missing parameters {missing}")
@@ -110,10 +106,15 @@ def write_param_file(path: str, params: HardeningParams, extra: dict | None = No
 
 
 def _require_covariance(kind: str, noise_model: NoiseModel) -> None:
-    """ConfigError if the weighting needs a covariance the noise model lacks."""
+    """ConfigError if the weighting needs a covariance the noise model lacks
+    or cannot invert (two-source noise without its white part is rank one)."""
     if kind != "identity" and not has_covariance(noise_model):
         raise ConfigError(f"weighting {kind!r}: no closed-form covariance is provided for "
                           f"the {noise_model.kind.upper()} model")
+    if (kind == "full_inverse_cov" and noise_model.kind == "two_source"
+            and noise_model.sigma1 == 0.0 < noise_model.sigma2):
+        raise ConfigError(f"weighting {kind!r}: the two-source covariance with sigma1 = 0 "
+                          f"is singular and has no inverse")
 
 
 def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel) -> WeightingScheme:
@@ -121,7 +122,8 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
 
     A covariance that is exactly zero (noise-free configuration) makes the
     inverse-covariance strategies undefined; every SPD weighting is then
-    equivalent, so they fall back to the identity.
+    equivalent, so they fall back to the identity. Any other singular
+    covariance raises ConfigError or FactorizationFailure.
     """
     _require_covariance(kind, noise_model)
     if kind == "identity":
@@ -134,7 +136,10 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     if kind == "full_inverse_cov":
         # In place, to hold as few N x N matrices at once as possible. numpy
         # buffers the overlapping inv.T, so the sum equals inv + inv.T.
-        inv = np.linalg.inv(cov)
+        try:
+            inv = np.linalg.inv(cov)
+        except np.linalg.LinAlgError:
+            raise FactorizationFailure("noise covariance is singular and has no inverse") from None
         del cov
         inv += inv.T
         inv *= 0.5
@@ -148,7 +153,7 @@ def _metric_specs(cfg: RunConfig, history_ids=None) -> dict:
     for h in ids:
         if h not in (1, 2):
             raise ConfigError(f"unknown benchmark history {h!r} (use 1 or 2)")
-        specs[h] = MetricSpec.mechanics(
+        specs[h] = MetricSpec(
             benchmark_history(h, duration=cfg.history_duration),
             cfg.material,
             n_steps=cfg.history_steps,

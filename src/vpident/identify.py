@@ -36,7 +36,6 @@ class ExperimentData:
 
     observations: np.ndarray
     abscissae: np.ndarray
-    metadata: str = "synthetic"
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=float)
@@ -154,15 +153,14 @@ class WeightingScheme:
         return self._full @ x
 
 
-def model_response(p, fixed: MaterialParams, program: StrainProgram,
-                   n_sub: int = N_SUB_RESPONSE) -> np.ndarray:
+def model_response(p, fixed: MaterialParams, program: StrainProgram) -> np.ndarray:
     """Cauchy shear stress at every sample point of the program."""
     vec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
-    return model_response_batch(vec[None, :], fixed, program, n_sub=n_sub)[0]
+    return model_response_batch(vec[None, :], fixed, program)[0]
 
 
-def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams, program: StrainProgram,
-                         n_sub: int = N_SUB_RESPONSE) -> np.ndarray:
+def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams,
+                         program: StrainProgram) -> np.ndarray:
     """(M, N) shear-stress responses for a batch of parameter vectors,
     streamed from the integrator one sample at a time."""
     out = np.empty((len(pvecs), program.n_points))
@@ -171,65 +169,52 @@ def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams, program: Stra
         out[:, i] = cauchy[:, 0, 1]
 
     cauchy_response(program.deformation_gradients(), program.times(), fixed, pvecs,
-                    n_sub=n_sub, sink=keep_shear)
+                    n_sub=N_SUB_RESPONSE, sink=keep_shear)
     return out
 
 
-def fd_step_sizes(pvec: np.ndarray, rel_step: float = 1.0e-6, abs_floor: float = 1.0e-8) -> np.ndarray:
-    """Central-difference steps: relative with an absolute floor for
-    parameters sitting at or near zero."""
+#: relative central-difference step, and its absolute floor for parameters
+#: sitting at or near zero
+FD_REL_STEP = 1.0e-6
+FD_ABS_FLOOR = 1.0e-8
+
+
+def fd_step_sizes(pvec: np.ndarray, rel_step: float = FD_REL_STEP,
+                  abs_floor: float = FD_ABS_FLOOR) -> np.ndarray:
+    """Central-difference steps: relative with an absolute floor."""
     return np.maximum(rel_step * np.abs(pvec), abs_floor)
 
 
-def _fd_probes(pvec: np.ndarray, rel_step: float,
-               abs_floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """(2k, k) central-difference probe rows, +h_i then -h_i for each
-    parameter i, and the steps h."""
+def _response_and_jacobian(p, response_batch: Callable[[np.ndarray], np.ndarray],
+                           rel_step: float = FD_REL_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Mod(p) and its (N, k) central-difference Jacobian from one
+    response_batch call on the rows [p, p+h_1, p-h_1, ..., p+h_k, p-h_k]."""
+    pvec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
     k = len(pvec)
-    h = fd_step_sizes(pvec, rel_step, abs_floor)
-    probes = np.tile(pvec, (2 * k, 1))
+    h = fd_step_sizes(pvec, rel_step)
+    rows = np.tile(pvec, (2 * k + 1, 1))
     for i in range(k):
-        probes[2 * i, i] += h[i]
-        probes[2 * i + 1, i] -= h[i]
-    return probes, h
-
-
-def _fd_from_values(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(N, k) Jacobian from the responses to the rows of _fd_probes."""
-    jac = np.empty((values.shape[1], len(h)))
-    for i in range(len(h)):
-        jac[:, i] = (values[2 * i] - values[2 * i + 1]) / (2.0 * h[i])
-    return jac
+        rows[2 * i + 1, i] += h[i]
+        rows[2 * i + 2, i] -= h[i]
+    values = response_batch(rows)
+    jac = (values[1::2] - values[2::2]) / (2.0 * h[:, None])
+    return values[0], np.ascontiguousarray(jac.T)
 
 
 def response_and_jacobian_fd(p, fixed: MaterialParams,
                              program: StrainProgram) -> tuple[np.ndarray, np.ndarray]:
-    """model_response and jacobian_fd at p, with the default steps that
-    jacobian_fd and the LM share, from one integrator pass over p and its 2k
-    central-difference probes. Rows of the batch are computed independently,
-    so both equal the separate calls bit for bit."""
-    vec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
-    probes, h = _fd_probes(vec, LMOptions.rel_step, LMOptions.abs_floor)
-    values = model_response_batch(np.vstack([vec[None, :], probes]), fixed, program)
-    return values[0], _fd_from_values(values[1:], h)
-
-
-def _fd_jacobian(pvec: np.ndarray, response_batch: Callable[[np.ndarray], np.ndarray],
-                 rel_step: float, abs_floor: float) -> np.ndarray:
-    probes, h = _fd_probes(pvec, rel_step, abs_floor)
-    return _fd_from_values(response_batch(probes), h)
+    """model_response and jacobian_fd at p from one integrator pass over p
+    and its 2k central-difference probes. Rows of the batch are computed
+    independently, so both equal the separate calls bit for bit."""
+    return _response_and_jacobian(p, lambda rows: model_response_batch(rows, fixed, program))
 
 
 def jacobian_fd(p, fixed: MaterialParams, program: StrainProgram,
-                rel_step: float = 1.0e-6, abs_floor: float = 1.0e-8,
-                n_sub: int = N_SUB_RESPONSE) -> np.ndarray:
+                rel_step: float = FD_REL_STEP) -> np.ndarray:
     """(N, 6) central-difference sensitivity of the model response, columns
     in the fixed parameter order."""
-    vec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
-    return _fd_jacobian(
-        vec, lambda probes: model_response_batch(probes, fixed, program, n_sub=n_sub),
-        rel_step, abs_floor,
-    )
+    return _response_and_jacobian(
+        p, lambda rows: model_response_batch(rows, fixed, program), rel_step)[1]
 
 
 @dataclass
@@ -238,7 +223,8 @@ class LMOptions:
 
     tol_g applies to the whitened gradient measured on unit-column-scaled
     parameters (so it is meaningful across mixed parameter units), tol_f to
-    the relative decrease of the error functional on accepted steps.
+    the relative decrease of the error functional on accepted steps. The
+    central-difference steps are fd_step_sizes' defaults, as in jacobian_fd.
     """
 
     tol_g: float = 1.0e-8
@@ -247,8 +233,6 @@ class LMOptions:
     lambda0: float = 1.0e-3
     lambda_factor: float = 10.0
     lambda_max: float = 1.0e12
-    rel_step: float = 1.0e-6
-    abs_floor: float = 1.0e-8
 
 
 @dataclass
@@ -295,8 +279,9 @@ def fit_least_squares(
     other rows of its batch, bit for bit, as the batched integrator does;
     otherwise residuals and Jacobians change at round-off level with what a
     row is batched with. If that joined call raises a VpidentError, the
-    candidate is evaluated alone and its Jacobian, should the step be
-    accepted, in a separate call.
+    trial is evaluated alone and its phi logged, but it is rejected: a trial
+    is accepted only together with its Jacobian. (Its probe rows would fail
+    again.) The start has no such fallback.
     """
     opts = opts or LMOptions()
     obs = np.asarray(observations, dtype=float)
@@ -310,20 +295,10 @@ def fit_least_squares(
             raise NonFiniteResidual("model response is not finite")
         return r
 
-    def evaluate(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Residual at vec and, where one call gives it, the Jacobian there."""
-        probes, h = _fd_probes(vec, opts.rel_step, opts.abs_floor)
-        try:
-            values = response_batch(np.vstack([vec[None, :], probes]))
-        except VpidentError:
-            pass  # a failing probe row must not end the trial
-        else:
-            return residual(values[0]), _fd_from_values(values[1:], h)
-        return residual(response_batch(vec[None, :])[0]), None
-
     if obs.ndim != 1:
         raise DimensionMismatch("observations must form a vector")
-    r, j = evaluate(p)
+    values, j = _response_and_jacobian(p, response_batch)
+    r = residual(values)
     if len(r) != len(obs):
         raise DimensionMismatch("response length does not match observations")
     phi = scheme.quadratic(r)
@@ -334,8 +309,6 @@ def fit_least_squares(
 
     for it in range(1, opts.max_iter + 1):
         iterations = it
-        if j is None:
-            j = _fd_jacobian(p, response_batch, opts.rel_step, opts.abs_floor)
         jw = scheme.whiten(j)
         rw = scheme.whiten(r)
         grad = jw.T @ rw
@@ -366,9 +339,13 @@ def fit_least_squares(
             candidate = p + q / dcol
             if lower_bound is not None:
                 candidate = np.maximum(candidate, lower_bound)
-            r_new, j_new = evaluate(candidate)
+            try:
+                values, j_new = _response_and_jacobian(candidate, response_batch)
+            except VpidentError:  # a failing probe row must not end the fit
+                values, j_new = response_batch(candidate[None, :])[0], None
+            r_new = residual(values)
             phi_new = scheme.quadratic(r_new)
-            if phi_new < phi:
+            if phi_new < phi and j_new is not None:
                 rel_drop = (phi - phi_new) / max(phi, np.finfo(float).tiny)
                 p, r, phi, j = candidate, r_new, phi_new, j_new
                 lam = max(lam / opts.lambda_factor, 1.0e-14)
@@ -384,8 +361,6 @@ def fit_least_squares(
         if converged:
             break
 
-    if j is None:
-        j = _fd_jacobian(p, response_batch, opts.rel_step, opts.abs_floor)
     return FitResult(p, phi, iterations, j, converged, history)
 
 

@@ -2,10 +2,10 @@
 metric and the simple-shear program that emulates thin-walled-tube torsion.
 
 A DeformationHistory interpolates linearly in time between key-point
-deformation gradients and, when the projection flag is set, maps every
-sampled F onto its volume-preserving part. The torsion program idealizes
-the tube wall as a homogeneously sheared material point, with the Cauchy
-shear component as the measured observable.
+deformation gradients and maps every sampled F onto its volume-preserving
+part. The torsion program idealizes the tube wall as a homogeneously
+sheared material point, with the Cauchy shear component as the measured
+observable.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class DeformationHistory:
     """Piecewise-linear-in-time deformation-gradient program."""
 
     keypoints: tuple
-    projection: bool = True
 
     def __post_init__(self):
         if len(self.keypoints) < 2:
@@ -45,7 +44,7 @@ class DeformationHistory:
 
     def sample(self, t: float) -> np.ndarray:
         """F(t): linear interpolation between the bracketing keypoints,
-        projected to det = 1 when the projection flag is set."""
+        projected to det = 1."""
         times = np.array([kp[0] for kp in self.keypoints])
         if t < times[0] or t > times[-1]:
             raise OutOfRange(f"t = {t} outside history span [{times[0]}, {times[-1]}]")
@@ -55,7 +54,7 @@ class DeformationHistory:
         t1, f1 = self.keypoints[idx + 1]
         w = (t - t0) / (t1 - t0)
         f = (1.0 - w) * np.asarray(f0, dtype=float) + w * np.asarray(f1, dtype=float)
-        return unimodular(f) if self.projection else f
+        return unimodular(f)
 
     def grid(self, n_steps: int):
         """Uniform sampling with n_steps intervals: (times, F) arrays."""
@@ -94,7 +93,7 @@ def benchmark_history(which: int, duration: float = 400.0) -> DeformationHistory
         raise InvalidProgram("duration must be positive")
     dt = duration / 4.0
     keypoints = tuple((i * dt, f) for i, f in enumerate((f1, f2, f3, f4, f1)))
-    return DeformationHistory(keypoints=keypoints, projection=True)
+    return DeformationHistory(keypoints=keypoints)
 
 
 def simple_shear_f(shear: float) -> np.ndarray:

@@ -43,18 +43,12 @@ class MetricSpec:
     history: DeformationHistory
     material: MaterialParams
     n_steps: int = 400
-    n_sub: int = 1
 
     def __post_init__(self):
         if self.history is None or self.material is None:
             raise ValueError("mechanics metric needs a history and material constants")
-        if self.n_steps < 1 or self.n_sub < 1:
+        if self.n_steps < 1:
             raise ValueError("time grid resolution must be positive")
-
-    @classmethod
-    def mechanics(cls, history: DeformationHistory, material: MaterialParams,
-                  n_steps: int = 400, n_sub: int = 1) -> "MetricSpec":
-        return cls(history, material, n_steps=n_steps, n_sub=n_sub)
 
 
 def dist_euclidean(p1, p2) -> float:
@@ -84,7 +78,7 @@ def _max_gaps(spec: MetricSpec, rows: np.ndarray, n_refs: int) -> np.ndarray:
         gap *= gap
         np.maximum(out, np.sum(gap, axis=(-2, -1)), out=out)
 
-    cauchy_response(f, times, spec.material, rows, n_sub=spec.n_sub, sink=score)
+    cauchy_response(f, times, spec.material, rows, sink=score)
     return np.sqrt(out, out=out)
 
 

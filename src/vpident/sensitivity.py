@@ -73,8 +73,8 @@ def linearize_at(p: HardeningParams, fixed: MaterialParams,
 def linearize(fit: FitResult, fixed: MaterialParams,
               program: StrainProgram) -> LinearizedModel:
     """Package a converged fit for closed-form re-identification: linearize_at
-    the fitted parameters. With the default LMOptions steps its Jacobian is
-    fit.jacobian bit for bit."""
+    the fitted parameters. The LM takes the same central differences, so its
+    Jacobian is fit.jacobian bit for bit."""
     if not fit.converged:
         raise ValueError("linearization requires a converged fit")
     return linearize_at(fit.params, fixed, program)

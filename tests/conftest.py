@@ -52,4 +52,4 @@ def stored_cauchy(F_samples, times, material, pvecs, n_sub=1):
 def metric_trajectories(spec, pvecs):
     """stored_cauchy along a mechanics metric's loading path and time grid."""
     times, f = spec.history.grid(spec.n_steps)
-    return stored_cauchy(f, times, spec.material, pvecs, n_sub=spec.n_sub)
+    return stored_cauchy(f, times, spec.material, pvecs, n_sub=1)

@@ -75,8 +75,8 @@ def experiment(material, truth, default_program):
 @pytest.fixture(scope="module")
 def metrics(material):
     return {
-        1: MetricSpec.mechanics(benchmark_history(1), material, n_steps=400),
-        2: MetricSpec.mechanics(benchmark_history(2), material, n_steps=400),
+        1: MetricSpec(benchmark_history(1), material, n_steps=400),
+        2: MetricSpec(benchmark_history(2), material, n_steps=400),
     }
 
 
@@ -289,7 +289,7 @@ def test_criterion_08_metric_axioms(material, truth, metrics):
     from vpident.loading import DeformationHistory
     f2 = np.diag([stretch, stretch**-0.5, stretch**-0.5])
     elastic = DeformationHistory(keypoints=((0.0, np.eye(3)), (200.0, f2), (400.0, np.eye(3))))
-    elastic_spec = MetricSpec.mechanics(elastic, material, n_steps=100)
+    elastic_spec = MetricSpec(elastic, material, n_steps=100)
     elastic_rep = check_metric_axioms(elastic_spec, samples[:5], slack=1e-9)
     ok = ok and not elastic_rep.separation_ok
     details.append(f"elastic-only history: {len(elastic_rep.separation_violations)} "

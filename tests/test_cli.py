@@ -293,6 +293,63 @@ def test_montecarlo_ar_noise_fails_before_the_linearization(tmp_path, monkeypatc
     assert sorted(os.listdir(out)) == ["cloud_identity.csv", "mc_summary.csv"]
 
 
+RANK_ONE = {**SMALL, "noise": {"kind": "two_source", "sigma1": 0.0, "sigma2": 5.0}}
+RANK_ONE_ERROR = ("configuration error: weighting 'full_inverse_cov': the two-source "
+                  "covariance with sigma1 = 0 is singular and has no inverse\n")
+
+
+def test_identify_singular_covariance_exits_2(tmp_path, capsys):
+    """Two-source noise without its white part (sigma1 = 0) has a rank-one
+    covariance, which full_inv_cov cannot invert: identify exits 2 with the
+    covariance message, not a traceback, and writes no CSV."""
+    path = tmp_path / "rank_one.json"
+    path.write_text(json.dumps(RANK_ONE))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(path), "--with-noise", "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    assert main(["identify", str(data / "experiment.csv"), "--config", str(path),
+                 "--weighting", "full_inv_cov", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == RANK_ONE_ERROR
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("weighting", ["full_inv_cov", "all"])
+def test_montecarlo_singular_covariance_fails_before_the_linearization(weighting, tmp_path,
+                                                                       monkeypatch, capsys):
+    """The rank-one two-source covariance exits 2 before the linearization
+    and any noise draw, and writes no CSV (under --weighting all, also no
+    identity cloud)."""
+    from vpident import cli, sensitivity
+
+    path = tmp_path / "rank_one.json"
+    path.write_text(json.dumps(RANK_ONE))
+    calls = []
+    linearize = cli.linearize_at
+    monkeypatch.setattr(cli, "linearize_at", lambda *a: calls.append("lin") or linearize(*a))
+    draw = sensitivity.sample_noise
+    monkeypatch.setattr(sensitivity, "sample_noise", lambda *a: calls.append("draw") or draw(*a))
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(path), "--instances", "5", "--history", "1",
+                 "--weighting", weighting, "--out", str(out)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == RANK_ONE_ERROR
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_numerically_singular_covariance_is_a_factorization_failure():
+    """sigma1 = 1e-170 passes the configuration check, but sigma1^2
+    underflows to 0 and leaves the covariance rank one: build_weighting
+    raises FactorizationFailure (exit 5), not numpy's LinAlgError."""
+    from vpident.cli import build_weighting
+    from vpident.errors import FactorizationFailure
+    from vpident.noise import NoiseModel
+
+    exp = 300.0 * np.sin(np.linspace(0.0, 6.0, 200))
+    with pytest.raises(FactorizationFailure, match="covariance is singular"):
+        build_weighting("full_inverse_cov", exp, NoiseModel.two_source(1e-170, 5.0))
+
+
 def test_montecarlo_cloud_columns(small_config, tmp_path):
     out = str(tmp_path / "mc")
     assert main(["montecarlo", "--config", small_config, "--instances", "8",

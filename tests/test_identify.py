@@ -17,7 +17,12 @@ from vpident import (
     torsion_program,
 )
 from vpident.errors import DataError, DimensionMismatch, FactorizationFailure, StepFailure
-from vpident.identify import N_SUB_RESPONSE, fd_step_sizes, model_response_batch
+from vpident.identify import (
+    N_SUB_RESPONSE,
+    _response_and_jacobian,
+    fd_step_sizes,
+    model_response_batch,
+)
 
 from conftest import stored_cauchy
 
@@ -320,6 +325,49 @@ def test_lm_failing_probe_row_falls_back_to_the_trial_alone():
     assert fit.phi == clean.phi
     assert fit.history == clean.history
     assert np.array_equal(fit.jacobian, clean.jacobian)
+
+
+def test_lm_rejects_a_trial_whose_probe_rows_fail():
+    """A trial whose probe rows fail is evaluated alone and its phi is
+    logged, but it is rejected: it has no Jacobian, and accepting it would
+    make the next iteration integrate the same failing rows again. With the
+    +h probe of the clean fit's first accepted trial faulted, the fit logs
+    that trial as rejected, converges, and its Jacobian is the one at its
+    final iterate."""
+    obs, design = tanh_toy()
+
+    def response(pvecs):
+        # row by row, so no row's value depends on the batch it is in
+        return np.stack([np.tanh(design @ row) for row in pvecs])
+
+    points = []
+
+    def recording(pvecs):
+        points.append(pvecs[0].copy())
+        return response(pvecs)
+
+    clean = fit_least_squares(np.full(3, 3.0), obs, recording,
+                              WeightingScheme.identity(20), lower_bound=None)
+    # call i evaluated the point of history entry i; entry 0 is the start
+    first = next(i for i, (*_, accepted) in enumerate(clean.history) if i > 0 and accepted)
+    bad = points[first] + np.eye(3)[0] * fd_step_sizes(points[first])[0]
+    raised = []
+
+    def faulty(pvecs):
+        if any(np.array_equal(row, bad) for row in pvecs):
+            raised.append(len(pvecs))
+            raise StepFailure("probe row failed")
+        return response(pvecs)
+
+    fit = fit_least_squares(np.full(3, 3.0), obs, faulty,
+                            WeightingScheme.identity(20), lower_bound=None)
+    assert raised == [1 + 2 * 3]
+    assert fit.history[:first] == clean.history[:first]
+    it, phi, _, accepted = fit.history[first]
+    assert (it, phi, accepted) == (clean.history[first][0], clean.history[first][1], False)
+    assert fit.converged
+    assert np.array_equal(fit.jacobian, _response_and_jacobian(fit.x, response)[1])
+    assert fit.phi == pytest.approx(clean.phi, rel=1e-9)
 
 
 def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program):

@@ -25,12 +25,12 @@ def perturbed(base, rng, scale=0.1):
 
 @pytest.fixture(scope="module")
 def mech_spec(material):
-    return MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=100)
+    return MetricSpec(benchmark_history(1, duration=40.0), material, n_steps=100)
 
 
 @pytest.fixture(scope="module")
 def mech_spec_h2(material):
-    return MetricSpec.mechanics(benchmark_history(2, duration=40.0), material, n_steps=100)
+    return MetricSpec(benchmark_history(2, duration=40.0), material, n_steps=100)
 
 
 def elastic_history(duration=40.0):
@@ -38,7 +38,7 @@ def elastic_history(duration=40.0):
     stretch = 1.0005
     f2 = np.diag([stretch, stretch**-0.5, stretch**-0.5])
     keypoints = ((0.0, np.eye(3)), (0.5 * duration, f2), (duration, np.eye(3)))
-    return DeformationHistory(keypoints=keypoints, projection=True)
+    return DeformationHistory(keypoints=keypoints)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +79,11 @@ def test_metric_spec_validation(material, truth):
     with pytest.raises(ZeroReferenceParameter):
         dist_euclidean_nondim(truth, truth, HardeningParams(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        MetricSpec.mechanics(None, material)
+        MetricSpec(None, material)
     with pytest.raises(ValueError):
-        MetricSpec.mechanics(benchmark_history(1), None)
+        MetricSpec(benchmark_history(1), None)
     with pytest.raises(ValueError):
-        MetricSpec.mechanics(benchmark_history(1), material, n_steps=0)
+        MetricSpec(benchmark_history(1), material, n_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ def test_mechanics_positive_for_different(truth, mech_spec):
 
 def test_mechanics_elastic_degeneracy(material, truth):
     """Different hardening, same stress response inside the elastic domain."""
-    spec = MetricSpec.mechanics(elastic_history(), material, n_steps=60)
+    spec = MetricSpec(elastic_history(), material, n_steps=60)
     rng = np.random.default_rng(3)
     other = perturbed(truth, rng, scale=0.3)
     assert dist_mechanics(truth, other, spec) == 0.0
@@ -155,7 +155,7 @@ def test_dist_mechanics_equals_the_stored_trajectory_formula(truth, mech_spec, m
 def test_cloud_scoring_stores_no_stress_history(truth, material):
     """Scoring streams through the integrator: the traced peak stays below a
     quarter of one stored (M, T, 3, 3) history."""
-    spec = MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=400)
+    spec = MetricSpec(benchmark_history(1, duration=40.0), material, n_steps=400)
     rng = np.random.default_rng(12)
     cloud = truth.as_vector()[None, :] * (1.0 + 0.02 * rng.standard_normal((200, 6)))
     tracemalloc.start()
@@ -173,7 +173,7 @@ def test_mechanics_grid_refinement(truth, material):
     other = perturbed(truth, rng, 0.15)
     values = []
     for steps in (400, 800):
-        spec = MetricSpec.mechanics(benchmark_history(1), material, n_steps=steps)
+        spec = MetricSpec(benchmark_history(1), material, n_steps=steps)
         values.append(dist_mechanics(truth, other, spec))
     assert abs(values[0] - values[1]) / values[1] < 0.005
 
@@ -200,7 +200,7 @@ def test_axioms_on_perturbed_sets(truth, mech_spec_h2):
 
 
 def test_axioms_report_elastic_separation_failure(material, truth):
-    spec = MetricSpec.mechanics(elastic_history(), material, n_steps=60)
+    spec = MetricSpec(elastic_history(), material, n_steps=60)
     rng = np.random.default_rng(10)
     samples = [truth, perturbed(truth, rng, 0.2), perturbed(truth, rng, 0.2)]
     report = check_metric_axioms(spec, samples)
@@ -231,7 +231,7 @@ def test_axiom_distances_equal_the_stored_trajectory_formula(material, truth, me
     """check_metric_axioms streams its pairwise distances in one pass; they
     equal the stored-trajectory formula bit for bit."""
     spec = {"h1": mech_spec, "h2": mech_spec_h2,
-            "elastic": MetricSpec.mechanics(elastic_history(), material, n_steps=60)}[history]
+            "elastic": MetricSpec(elastic_history(), material, n_steps=60)}[history]
     rng = np.random.default_rng(13)
     samples = [truth, truth] + [perturbed(truth, rng, 0.15) for _ in range(4)]
     vecs = np.stack([p.as_vector() for p in samples])
@@ -255,7 +255,7 @@ def test_axiom_check_stores_no_stress_history(truth, material):
     of the path itself do not grow with the sample count, so the bound is on
     what 12 samples add over 3: under a quarter of one stored (12, T, 3, 3)
     history."""
-    spec = MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=400)
+    spec = MetricSpec(benchmark_history(1, duration=40.0), material, n_steps=400)
     rng = np.random.default_rng(14)
     samples = [perturbed(truth, rng, 0.05) for _ in range(12)]
     check_metric_axioms(spec, samples[:3])  # warm up

@@ -113,8 +113,8 @@ def test_jacobian_column_scaling_under_reparametrization(material, truth, small_
         from vpident.identify import model_response_batch
         return model_response_batch(qvecs * scale[None, :], material, small_program)
 
-    from vpident.identify import _fd_jacobian
-    j_q = _fd_jacobian(truth.as_vector() / scale, reparam_response, 1e-6, 1e-8)
+    from vpident.identify import _response_and_jacobian
+    _, j_q = _response_and_jacobian(truth.as_vector() / scale, reparam_response)
     assert np.allclose(j_q[:, 0], 2.0 * lin.jacobian[:, 0], rtol=1e-4, atol=1e-8)
 
 
@@ -238,7 +238,7 @@ def mc_setup(material, truth, small_program):
     exp = model_response(truth, material, small_program)
     lin = linearize_at(truth, material, small_program)
     metrics = {
-        1: MetricSpec.mechanics(benchmark_history(1, duration=40.0), material, n_steps=80),
+        1: MetricSpec(benchmark_history(1, duration=40.0), material, n_steps=80),
     }
     return exp, lin, metrics
 
