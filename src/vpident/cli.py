@@ -132,15 +132,21 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     if not np.any(cov):
         return WeightingScheme.identity(len(observations))
     if kind == "diag_inverse_cov":
-        return WeightingScheme.diagonal(1.0 / np.diag(cov))
+        var = np.diag(cov)
+        if not np.all(var > 0.0):
+            raise FactorizationFailure(f"noise variance of sample {np.argmin(var > 0.0)} is zero "
+                                       "and has no inverse")
+        return WeightingScheme.diagonal(1.0 / var)
     if kind == "full_inverse_cov":
         # In place, to hold as few N x N matrices at once as possible. numpy
         # buffers the overlapping inv.T, so the sum equals inv + inv.T.
         try:
             inv = np.linalg.inv(cov)
+            del cov
+            if not np.isfinite(np.max(np.abs(inv))):  # a singular cov can invert without an error
+                raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise FactorizationFailure("noise covariance is singular and has no inverse") from None
-        del cov
         inv += inv.T
         inv *= 0.5
         return WeightingScheme.full(inv)

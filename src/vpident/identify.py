@@ -2,7 +2,7 @@
 
 The error functional is Resid^T W Resid with a symmetric positive definite
 weighting matrix W; minimizing it is the same as minimizing the plain
-l2-norm of the whitened residual W^(1/2) Resid, which is what the
+l2-norm of the whitened residual R Resid (R^T R = W), which is what the
 Levenberg-Marquardt loop drives. The solver works on unit-column-scaled
 parameters internally so the very different magnitudes of the six
 hardening parameters never meet the damping parameter directly.
@@ -57,24 +57,20 @@ class ExperimentData:
 class WeightingScheme:
     """Symmetric positive definite weighting of the residual.
 
-    Identity and diagonal kinds store only the diagonal (identity is the
-    diagonal of ones); the dense matrix is only materialized on request. A
-    full matrix is checked for positive definiteness by a Cholesky
-    factorization on construction. Its square root W^(1/2) is the
-    symmetric eigendecomposition root (any factor M with M^T M = W defines
-    the same functional, which the tests pin down); that O(N^3) root is only
-    computed by the first whiten() call and then kept, since apply() and
-    quadratic() never need it.
+    Identity and diagonal weightings store only the diagonal (identity is
+    the diagonal of ones); the dense matrix is only materialized on
+    request. A full matrix is checked for positive definiteness by its
+    Cholesky factorization on construction, and that factor R (R^T R = W)
+    is kept as the whitening factor: any factor M with M^T M = W defines
+    the same functional, which the tests pin down. apply(), quadratic()
+    and matrix() use the stored W itself.
     """
 
-    def __init__(self, kind: str, diag: np.ndarray | None = None,
-                 full: np.ndarray | None = None):
+    def __init__(self, diag: np.ndarray | None = None, full: np.ndarray | None = None):
         if (diag is None) == (full is None):
             raise ValueError("a weighting needs exactly one of a diagonal and a full matrix")
-        self.kind = kind
         self._diag = None
         self._full = None
-        self._root = None
         if diag is not None:
             d = np.asarray(diag, dtype=float)
             if d.ndim != 1:
@@ -87,26 +83,28 @@ class WeightingScheme:
             if w.ndim != 2 or w.shape[0] != w.shape[1]:
                 raise FactorizationFailure("weighting matrix must be square")
             scale = np.max(np.abs(w))
+            if not np.isfinite(scale):
+                raise FactorizationFailure("weighting matrix must be finite")
             if scale == 0.0 or np.max(np.abs(w - w.T)) > 1.0e-10 * scale:
                 raise FactorizationFailure("weighting matrix must be symmetric")
             w = 0.5 * (w + w.T)
             try:
-                np.linalg.cholesky(w)
+                self._root = np.linalg.cholesky(w).T
             except np.linalg.LinAlgError:
                 raise FactorizationFailure("weighting matrix is not positive definite") from None
             self._full = w
 
     @classmethod
     def identity(cls, n: int) -> "WeightingScheme":
-        return cls("identity", diag=np.ones(n))
+        return cls(diag=np.ones(n))
 
     @classmethod
     def diagonal(cls, diag) -> "WeightingScheme":
-        return cls("diag_inverse_cov", diag=diag)
+        return cls(diag=diag)
 
     @classmethod
     def full(cls, matrix) -> "WeightingScheme":
-        return cls("full_inverse_cov", full=matrix)
+        return cls(full=matrix)
 
     @property
     def n(self) -> int:
@@ -129,20 +127,12 @@ class WeightingScheme:
             return float(r @ (self._diag * r))
         return float(r @ (self._full @ r))
 
-    def _sym_root(self) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self._full)
-        if vals.min() <= 0.0:
-            raise FactorizationFailure("weighting matrix is not positive definite")
-        return (vecs * np.sqrt(vals)) @ vecs.T
-
     def whiten(self, x: np.ndarray) -> np.ndarray:
-        """W^(1/2) x for a vector or column-stacked matrix."""
+        """R x (R^T R = W) for a vector or column-stacked matrix."""
         x = self._check(x)
         if self._full is None:
             s = np.sqrt(self._diag)
             return s * x if x.ndim == 1 else s[:, None] * x
-        if self._root is None:
-            self._root = self._sym_root()
         return self._root @ x
 
     def apply(self, x: np.ndarray) -> np.ndarray:

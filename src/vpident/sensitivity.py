@@ -141,9 +141,6 @@ class CloudReport:
     p_star: np.ndarray
     size_per_history: dict
     variances: np.ndarray
-    scheme: str
-    seed: int
-    n_instances: int
     outside_cone: np.ndarray = field(default=None)
 
     def members(self) -> list:
@@ -194,8 +191,5 @@ def monte_carlo_cloud(
         p_star=lin.p_star.copy(),
         size_per_history=sizes,
         variances=normalized_variances(cloud, lin.p_star),
-        scheme=scheme.kind,
-        seed=master_seed,
-        n_instances=n_instances,
         outside_cone=np.any(cloud < 0.0, axis=1),
     )

@@ -157,6 +157,21 @@ def test_identify_with_covariance_weighting(small_config, tmp_path):
     assert np.max(rel) < 1e-3
 
 
+def test_identify_full_weighting_needs_no_eigendecomposition(small_config, tmp_path,
+                                                              monkeypatch):
+    """The full weighting whitens with the Cholesky factor that checks it:
+    a fit under full_inv_cov never calls eigh."""
+
+    def no_eigh(a):
+        raise AssertionError("the full weighting must not eigendecompose W")
+
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", small_config, "--with-noise", "--out", out]) == 0
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert main(["identify", os.path.join(out, "experiment.csv"), "--config", small_config,
+                 "--weighting", "full_inv_cov", "--out", out]) == 0
+
+
 def test_identify_rejects_short_data(small_config, tmp_path):
     path = tmp_path / "short.csv"
     rows = ["strain,stress"] + [f"0.00{i},{i}.0" for i in range(5)]
@@ -348,6 +363,56 @@ def test_numerically_singular_covariance_is_a_factorization_failure():
     exp = 300.0 * np.sin(np.linspace(0.0, 6.0, 200))
     with pytest.raises(FactorizationFailure, match="covariance is singular"):
         build_weighting("full_inverse_cov", exp, NoiseModel.two_source(1e-170, 5.0))
+
+
+def two_source_config(tmp_path, sigma1):
+    """A 60-point config with two-source noise of white level sigma1, and
+    the noisy record it simulates (its first sample is exactly 0)."""
+    path = tmp_path / "two_source.json"
+    path.write_text(json.dumps({**SMALL, "noise": {"kind": "two_source", "sigma1": sigma1,
+                                                   "sigma2": 5.0}}))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(path), "--with-noise", "--out", str(data)]) == 0
+    return str(path), str(data / "experiment.csv")
+
+
+@pytest.mark.parametrize("sigma1", [0.0, 1e-170])
+@pytest.mark.parametrize("command", ["identify", "montecarlo"])
+def test_zero_variance_sample_fails_diagonal_weighting(command, sigma1, tmp_path, capsys):
+    """A sample whose noise variance is 0 (sigma1 = 0, or sigma1^2 underflowing,
+    where the signal is 0) has no inverse variance: diag_inv_cov exits 5
+    naming the sample, without a numpy warning, and writes no CSV."""
+    path, data = two_source_config(tmp_path, sigma1)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["--config", path, "--weighting", "diag_inv_cov", "--out", str(out)]
+    if command == "identify":
+        argv = [data] + argv
+    else:
+        argv += ["--instances", "5", "--history", "1"]
+    assert main([command] + argv) == 5
+    assert capsys.readouterr().err == ("numerical failure: noise variance of sample 0 is zero "
+                                       "and has no inverse\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_finite_inverse_fails_identify_and_montecarlo_alike(tmp_path, capsys):
+    """At sigma1 = 1e-170 the inverse of the covariance can come back
+    non-finite without an error. Both commands treat that as a singular
+    covariance: exit 5 with the same message, and no CSV."""
+    path, data = two_source_config(tmp_path, 1e-170)
+    capsys.readouterr()
+    error = "numerical failure: noise covariance is singular and has no inverse\n"
+    out = tmp_path / "fit"
+    assert main(["identify", data, "--config", path, "--weighting", "full_inv_cov",
+                 "--out", str(out)]) == 5
+    assert capsys.readouterr().err == error
+    assert not out.exists() or not any(out.iterdir())
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", path, "--weighting", "full_inv_cov",
+                 "--instances", "5", "--history", "1", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == error
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_montecarlo_cloud_columns(small_config, tmp_path):

@@ -32,13 +32,19 @@ def random_spd_matrix(rng, n):
     return g @ g.T + n * np.eye(n)
 
 
-class CholeskyWhitened(WeightingScheme):
-    """The full weighting W whitened by its Cholesky factor R (R^T R = W),
-    built here, in place of the program's symmetric root."""
+def symmetric_root(w):
+    """The symmetric eigendecomposition root W^(1/2) of an SPD matrix."""
+    vals, vecs = np.linalg.eigh(w)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+class SymmetricRootWhitened(WeightingScheme):
+    """The full weighting W whitened by its symmetric root W^(1/2), built
+    here, in place of the program's Cholesky factor."""
 
     def __init__(self, w):
-        super().__init__("full_inverse_cov", full=w)
-        self.factor = np.linalg.cholesky(self.matrix()).T
+        super().__init__(full=w)
+        self.factor = symmetric_root(self.matrix())
 
     def whiten(self, x):
         return self.factor @ self._check(x)
@@ -76,6 +82,8 @@ def test_weighting_rejects_bad_matrices():
         WeightingScheme.full(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(FactorizationFailure):
         WeightingScheme.full(np.array([[1.0, 0.0], [0.0, -2.0]]))
+    with pytest.raises(FactorizationFailure, match="finite"):
+        WeightingScheme.full(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 def test_whiten_identity_and_diagonal():
@@ -99,47 +107,53 @@ def test_whiten_factor_choices_give_same_functional():
     rng = np.random.default_rng(23)
     w = random_spd_matrix(rng, 5)
     r = rng.normal(size=5)
-    sym = WeightingScheme.full(w)
-    chol = np.linalg.cholesky(0.5 * (w + w.T)).T
-    assert np.linalg.norm(sym.whiten(r)) ** 2 == pytest.approx(
-        np.linalg.norm(chol @ r) ** 2, rel=1e-12
+    chol = WeightingScheme.full(w)
+    sym = symmetric_root(0.5 * (w + w.T))
+    assert np.linalg.norm(chol.whiten(r)) ** 2 == pytest.approx(
+        np.linalg.norm(sym @ r) ** 2, rel=1e-12
     )
 
 
-def test_full_weighting_computes_its_root_on_first_whiten(monkeypatch):
+def test_full_weighting_factors_once_on_construction(monkeypatch):
     rng = np.random.default_rng(29)
     w = random_spd_matrix(rng, 7)
-    vals, vecs = np.linalg.eigh(0.5 * (w + w.T))
-    eager = (vecs * np.sqrt(vals)) @ vecs.T
+    eager = np.linalg.cholesky(0.5 * (w + w.T)).T
     calls = []
-    eigh = np.linalg.eigh
+    cholesky = np.linalg.cholesky
 
-    def counting_eigh(a):
+    def counting_cholesky(a):
         calls.append(a.shape)
-        return eigh(a)
+        return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    def no_eigh(a):
+        raise AssertionError("the full weighting must not eigendecompose W")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     scheme = WeightingScheme.full(w)
+    assert calls == [(7, 7)]
+    assert np.array_equal(scheme._root, eager)
     r = rng.normal(size=7)
     scheme.apply(r)
     scheme.quadratic(r)
-    assert calls == []
+    assert calls == [(7, 7)]
     assert np.array_equal(scheme.whiten(r), eager @ r)
     scheme.whiten(np.eye(7))
-    assert calls == [(7, 7)]
-    assert np.array_equal(scheme._root, eager)
-    # the root is kept: whitening again makes no new eigendecomposition
+    # the factor is kept: whitening again makes no new factorization
     assert np.array_equal(scheme.whiten(r), eager @ r)
     assert calls == [(7, 7)]
 
 
-def test_full_weighting_whiten_rejects_nonpositive_eigenvalue(monkeypatch):
-    """Cholesky passed on construction, but the symmetric root still refuses
-    an eigenvalue <= 0 (round-off can put one there for a near-singular W)."""
-    scheme = WeightingScheme.full(np.diag([1.0, 2.0]))
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([0.0, 2.0]), np.eye(2)))
+def test_full_weighting_rejects_failed_cholesky_on_construction(monkeypatch):
+    """The Cholesky factorization on construction is the positive
+    definiteness test: its LinAlgError becomes FactorizationFailure."""
+
+    def failing_cholesky(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     with pytest.raises(FactorizationFailure):
-        scheme.whiten(np.ones(2))
+        WeightingScheme.full(np.diag([1.0, 2.0]))
 
 
 def test_materialized_matrix():
@@ -435,7 +449,7 @@ def test_lm_result_invariant_to_whitening_factor(material, truth, small_program)
     start = HardeningParams.from_vector(truth.as_vector() * 1.1)
     fits = [
         levenberg_marquardt(start, data, scheme, material, small_program)
-        for scheme in (WeightingScheme.full(w), CholeskyWhitened(w))
+        for scheme in (WeightingScheme.full(w), SymmetricRootWhitened(w))
     ]
     rel = np.abs(fits[0].params.as_vector() - fits[1].params.as_vector())
     rel /= np.abs(fits[0].params.as_vector())
