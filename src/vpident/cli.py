@@ -228,10 +228,11 @@ def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
     lin = linearize_at(base, cfg.material, cfg.program)
     exp = lin.mod_star
     metrics = _metric_specs(cfg, history_ids)
+    # every weighting before the first cloud: a failing scheme leaves no output
+    weightings = {kind: build_weighting(kind, exp, cfg.noise) for kind in schemes}
 
     summary_rows = []
-    for kind in schemes:
-        scheme = build_weighting(kind, exp, cfg.noise)
+    for kind, scheme in weightings.items():
         report = monte_carlo_cloud(lin, scheme, cfg.noise, exp, instances, cfg.master_seed,
                                    metrics=metrics)
         cloud_path = os.path.join(out_dir, f"cloud_{kind}.csv")

@@ -1,10 +1,10 @@
 """Dense 3x3 tensor algebra for the constitutive equations.
 
 Every operation accepts arrays of shape ``(..., 3, 3)`` and broadcasts over
-the leading axes, so a whole batch of material points advances with one
-call. Determinant and inverse use the closed-form cofactor expressions:
-at this size they beat any factorization on both speed and accuracy, and
-they keep the integrator free of LAPACK round-trips.
+the leading axes. They serve the single-point stress functions (the test
+reference of the plane-block integrator), the deformation histories and the
+integrator's once-per-path set-up. Determinant and inverse use closed-form
+cofactors: at this size they beat any factorization on speed and accuracy.
 """
 
 from __future__ import annotations
@@ -85,13 +85,9 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_positive_definite(a: np.ndarray, det_a=None) -> np.ndarray | bool:
-    """Sylvester criterion for symmetric input, broadcast over the batch.
-
-    det_a, if given, is det(a) computed by the caller.
-    """
+def is_positive_definite(a: np.ndarray) -> np.ndarray | bool:
+    """Sylvester criterion for symmetric input, broadcast over the batch."""
     a = np.asarray(a)
     m1 = a[..., 0, 0]
     m2 = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    m3 = det(a) if det_a is None else det_a
-    return (m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0)
+    return (m1 > 0.0) & (m2 > 0.0) & (det(a) > 0.0)

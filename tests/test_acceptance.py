@@ -38,7 +38,7 @@ from vpident import (
     second_pk_stress,
     simple_shear_f,
 )
-from vpident.constitutive import run_path
+from vpident.constitutive import _full, run_path
 from vpident.identify import ExperimentData
 from vpident.metric import mechanics_distances
 from vpident.sensitivity import LinearizedModel
@@ -149,7 +149,7 @@ def test_criterion_02_incompressibility(material, default_program):
 
     def check_state(i, state):
         nonlocal worst, checked
-        for a in state[0][:, 0]:  # Ci, C1i, C2i of the one row
+        for a in _full(state[0][:, :, 0]):  # Ci, C1i, C2i of the one row
             worst = max(worst, abs(np.linalg.det(a) - 1.0))
             checked += 1
 

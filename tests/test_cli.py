@@ -415,6 +415,20 @@ def test_non_finite_inverse_fails_identify_and_montecarlo_alike(tmp_path, capsys
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_montecarlo_all_schemes_fail_before_the_first_cloud(tmp_path, capsys):
+    """Under --weighting all, a scheme whose weighting cannot be built
+    (diag_inv_cov with a zero noise variance) ends the run with exit 5
+    before any scheme's cloud is written."""
+    path, _ = two_source_config(tmp_path, 1e-170)
+    capsys.readouterr()
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", path, "--weighting", "all", "--instances", "5",
+                 "--history", "1", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == ("numerical failure: noise variance of sample 0 is zero "
+                                       "and has no inverse\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_montecarlo_cloud_columns(small_config, tmp_path):
     out = str(tmp_path / "mc")
     assert main(["montecarlo", "--config", small_config, "--instances", "8",

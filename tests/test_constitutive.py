@@ -16,9 +16,26 @@ from vpident import (
     torsion_program,
 )
 from vpident import constitutive, tensors
-from vpident.constitutive import DET_TOL, _advance, _hp_arrays, run_path
-from vpident.errors import InvalidTimeGrid, NonPositiveDefinite, NonPositiveDeterminant
+from vpident.constitutive import (
+    DET_TOL,
+    SQ23,
+    _advance,
+    _full,
+    _hp_arrays,
+    _pinv,
+    _plane,
+    _pk2_kernel,
+    run_path,
+)
+from vpident.errors import (
+    InvalidProgram,
+    InvalidTimeGrid,
+    NonPositiveDefinite,
+    NonPositiveDeterminant,
+    StepFailure,
+)
 from vpident.identify import N_SUB_RESPONSE
+from vpident.loading import DeformationHistory
 
 from conftest import random_spd, random_spd_unimodular, stored_cauchy
 
@@ -261,7 +278,7 @@ def states_along(shear_of_t, material, grid):
 
     def sink(i, state):
         S, _, s, sd = state
-        states.append(InternalState(S[0, 0], S[1, 0], S[2, 0], float(s[0]), float(sd[0])))
+        states.append(InternalState(*_full(S[:, :, 0]), float(s[0]), float(sd[0])))
 
     run_path(fs, grid, material, pvecs, n_sub=1, sink=sink)
     return states
@@ -420,30 +437,30 @@ def _mixed_path(truth):
 
 
 def test_carried_inverse_equals_inverse_of_state(material, truth):
-    """The carried S_inv is inverse(S) bit for bit after every step, also
-    after steps in which some rows flow and others stay elastic."""
+    """The carried plane S_inv is _pinv(S) bit for bit after every step,
+    also after steps in which some rows flow and others stay elastic."""
     cs, pvecs = _mixed_path(truth)
     hp = _hp_arrays(pvecs)
-    S = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)).copy()
-    state = (S, tensors.inverse(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
+    S = _plane(np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)))
+    state = (S, _pinv(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
     kinds = set()
     for c in cs[1:]:
-        new = _advance(state, c, material, hp, 1.0)
+        new = _advance(state, _plane(c)[:, None], material, hp, 1.0)
         flowed = tuple(new[2] != state[2])
         kinds.add("mixed" if 0 < sum(flowed) < len(flowed) else "uniform")
         state = new
-        assert np.array_equal(state[1], tensors.inverse(state[0]))
+        assert np.array_equal(state[1], _pinv(state[0]))
     assert kinds == {"mixed", "uniform"}
 
 
 def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
-    """Per plastic step one inverse and three det calls (unimodular and the
-    two of the projection), per elastic step one det, per sample two det;
-    per run one det of the sampled F and two inverses (C at the samples and
-    the initial stack)."""
+    """Per run one 3x3 det (of the sampled F) and one 3x3 inverse (of C at
+    the samples), and no 3x3 call per step. In the plane kernel: per plastic
+    step one inverse and three det calls (unimodular and the two of the
+    projection), per elastic step one det, per sample two det."""
     cs, pvecs = _mixed_path(truth)
     fs = np.stack([np.linalg.cholesky(c).T for c in cs])  # F with F^T F = C
-    calls = {"det": 0, "inverse": 0}
+    calls = {"det": 0, "inverse": 0, "plane det": 0, "plane inverse": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -455,6 +472,8 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
     monkeypatch.setattr(constitutive, "det", det_counter)
     monkeypatch.setattr(tensors, "det", det_counter)
     monkeypatch.setattr(constitutive, "inverse", counting("inverse", tensors.inverse))
+    monkeypatch.setattr(constitutive, "_pdet", counting("plane det", constitutive._pdet))
+    monkeypatch.setattr(constitutive, "_pinv", counting("plane inverse", constitutive._pinv))
     plastic = []
 
     def recording(state, *args):
@@ -467,8 +486,9 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
     constitutive.cauchy_response(fs, times, material, pvecs, sink=lambda i, cauchy: None)
     n_plastic = sum(plastic)
     assert 0 < n_plastic < len(plastic) == len(fs) - 1
-    assert calls["inverse"] == 2 + n_plastic
-    assert calls["det"] == 1 + (len(plastic) - n_plastic) + 3 * n_plastic + 2 * len(fs)
+    assert calls["det"] == 1 and calls["inverse"] == 1
+    assert calls["plane inverse"] == n_plastic
+    assert calls["plane det"] == (len(plastic) - n_plastic) + 3 * n_plastic + 2 * len(fs)
 
 
 def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
@@ -508,12 +528,13 @@ def test_run_path_state_sink(material, truth):
                      sink=lambda i, state: calls.append((i, state)))
     assert [i for i, _ in calls] == list(range(len(fs)))
     S, S_inv, s, sd = calls[0][1]
+    assert S.shape == S_inv.shape == (5, 3, len(pvecs))
     identity = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3))
-    assert np.array_equal(S, identity) and np.array_equal(S_inv, identity)
+    assert np.array_equal(_full(S), identity) and np.array_equal(_full(S_inv), identity)
     assert np.all(s == 0.0) and np.all(sd == 0.0)
     S, S_inv, s, sd = calls[-1][1]
     assert np.all(s > 0.0)
-    for got, want in zip((S[0], S[1], S[2], s, sd), final):
+    for got, want in zip((*_full(S), s, sd), final):
         assert np.array_equal(got, want)
 
 
@@ -546,3 +567,166 @@ def test_drive_equals_the_reference_formula(material):
         assert out.driving_force_F == pytest.approx(expected, rel=1e-12)
         assert out.overstress_f == pytest.approx(
             expected - np.sqrt(2.0 / 3.0) * (material.K + out.R), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the plane kernel against the general 3x3 step it replaced
+
+
+def _ref_trial(C, S, S_inv, mat, c1, c2, r):
+    lhs = np.empty_like(S)
+    lhs[0] = C
+    lhs[1:] = S[0]
+    dev = tensors.deviator(tensors.unimodular(np.matmul(lhs, S_inv)))
+    dev[0] = (
+        mat.mu * dev[0]
+        - 0.5 * np.asarray(c1)[..., None, None] * dev[1]
+        - 0.5 * np.asarray(c2)[..., None, None] * dev[2]
+    )
+    drive = tensors.frobenius_norm(dev[0])
+    return dev, drive, drive - SQ23 * (mat.K + r)
+
+
+def _ref_flow_multiplier(f_trial, h_eff, mat, dt):
+    """Newton from x = f_trial, with two powers per iteration."""
+    ft = np.maximum(f_trial, 0.0)
+    c = np.maximum(h_eff, 0.0) * (dt / mat.eta)
+    cm = c * (mat.m / mat.k0)
+    x = ft.copy()
+    tol = 1.0e-12 * np.maximum(ft, mat.k0)
+    for _ in range(80):
+        r = x / mat.k0
+        rm = r**mat.m
+        phi = x + c * rm - ft
+        done = np.abs(phi) <= tol
+        if done.all():
+            break
+        x = np.where(done, x, x - phi / (1.0 + cm * r ** (mat.m - 1.0)))
+    else:
+        raise StepFailure("implicit flow solve did not converge")
+    return rm / mat.eta
+
+
+def _ref_project_metric(a):
+    a = tensors.sym(a)
+    d = tensors.det(a)
+    if (d <= 0.0).any() or not np.isfinite(d).all():
+        raise StepFailure("inelastic metric lost positive determinant")
+    out = a / np.cbrt(d)[..., None, None]
+    d_out = tensors.det(out)
+    assert np.all(np.abs(d_out - 1.0) <= DET_TOL)
+    return out, d_out
+
+
+def _ref_advance(state, C_new, mat, hp, dt):
+    """The batched 3x3 step: state (S, S_inv, s, sd) with S = [Ci, C1i, C2i]
+    as a (3, M, 3, 3) stack."""
+    S, S_inv, s, sd = state
+    gam, bet, c1, c2, kap1, kap2 = hp
+    s_e = s - sd
+    dev, drive, f_trial = _ref_trial(C_new, S, S_inv, mat, c1, c2, gam * s_e)
+    xi, dev_b1, dev_b2 = dev
+    plastic = f_trial > 0.0
+    if not plastic.any():
+        return state
+    safe_drive = np.where(plastic, drive, 1.0)
+    n_dot_b1 = np.sum(xi * dev_b1, axis=(-2, -1)) / safe_drive
+    n_dot_b2 = np.sum(xi * dev_b2, axis=(-2, -1)) / safe_drive
+    h_eff = (
+        2.0 * mat.mu
+        + c1 * (1.0 - 0.5 * kap1 * c1 * n_dot_b1)
+        + c2 * (1.0 - 0.5 * kap2 * c2 * n_dot_b2)
+        + (2.0 / 3.0) * gam * (1.0 - bet * s_e)
+    )
+    lam = np.where(plastic, _ref_flow_multiplier(f_trial, h_eff, mat, dt), 0.0)
+    rates = np.stack([2.0 * dt * lam / safe_drive, dt * lam * kap1 * c1, dt * lam * kap2 * c2])
+    S_new, _ = _ref_project_metric(S + rates[..., None, None] * np.matmul(dev, S))
+    assert (tensors.is_positive_definite(S_new).all(axis=0) | ~plastic).all()
+    mask = plastic[..., None, None]
+    ds = dt * SQ23 * lam
+    return (
+        np.where(mask, S_new, S),
+        np.where(mask, tensors.inverse(S_new), S_inv),
+        np.where(plastic, s + ds, s),
+        np.where(plastic, sd + bet * ds * s_e, sd),
+    )
+
+
+def _ref_cauchy(fs, times, material, pvecs, n_sub):
+    """(T, M, 3, 3) Cauchy stresses from the 3x3 step and push-forward."""
+    hp = _hp_arrays(pvecs)
+    S = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)).copy()
+    state = (S, tensors.inverse(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
+    out = []
+    for i in range(len(times)):
+        for j in range(1, n_sub + 1) if i else ():
+            w = j / n_sub
+            f_sub = (1.0 - w) * fs[i - 1] + w * fs[i]
+            state = _ref_advance(state, f_sub.T @ f_sub, material, hp,
+                                 (times[i] - times[i - 1]) / n_sub)
+        c = fs[i].T @ fs[i]
+        t = _pk2_kernel(tensors.inverse(c), np.matmul(c, state[1][0]), material.k, material.mu)
+        out.append(tensors.sym(np.matmul(fs[i], np.matmul(t, fs[i].T)) / np.linalg.det(fs[i])))
+    return np.stack(out)
+
+
+def _plane_keypoint(kind, amount):
+    """A plane deformation gradient: uniaxial stretch along axis 1 or 2
+    (volume preserving), or simple shear in the 1-2 plane."""
+    if kind == "shear":
+        return simple_shear_f(amount)
+    f = np.diag([amount ** -0.5] * 3)
+    f[kind, kind] = amount
+    return f
+
+
+# amounts past the elastic limit, so that every path flows
+_keypoint = st.one_of(
+    st.tuples(st.just("shear"), st.floats(-0.15, -0.02) | st.floats(0.02, 0.15)),
+    st.tuples(st.sampled_from([0, 1]), st.floats(0.9, 0.98) | st.floats(1.02, 1.15)),
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(keys=st.lists(_keypoint, min_size=1, max_size=4), n_sub=st.sampled_from([1, 2]),
+       rows=st.lists(st.tuples(*[st.floats(0.5, 2.0)] * 6), min_size=1, max_size=3))
+def test_plane_kernel_matches_the_3x3_reference(material, truth, keys, n_sub, rows):
+    """On random plane paths (shear reversals, stretches along axes 1 and 2)
+    and hardening rows around the truth, the streamed Cauchy stresses equal
+    those of the 3x3 step and of stress_state on the carried state, within
+    1e-10 of the largest stress on the path."""
+    keypoints = [np.eye(3)] + [_plane_keypoint(*k) for k in keys]
+    history = DeformationHistory(tuple((50.0 * i, f) for i, f in enumerate(keypoints)))
+    times, fs = history.grid(20 * len(keys))
+    pvecs = truth.as_vector()[None, :] * np.array(rows)
+
+    got = stored_cauchy(fs, times, material, pvecs, n_sub=n_sub).swapaxes(0, 1)
+    want = _ref_cauchy(fs, times, material, pvecs, n_sub)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    states = []
+    run_path(fs, times, material, pvecs, n_sub=n_sub,
+             sink=lambda i, state: states.append((_full(state[0]), state[2], state[3])))
+    assert np.all(states[-1][1] > 0.0)
+    for i, (S, s, sd) in enumerate(states):
+        for row in range(len(pvecs)):
+            state = InternalState(S[0, row], S[1, row], S[2, row], float(s[row]), float(sd[row]))
+            single = stress_state(fs[i], state, material).cauchy
+            assert np.max(np.abs(got[i, row] - single)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (1, 2), (2, 0), (2, 1)])
+def test_a_sample_off_the_plane_block_is_rejected(material, entry):
+    """A sampled F with a nonzero xz, yz, zx or zy entry raises
+    InvalidProgram before anything is integrated."""
+    pv = material.hardening.as_vector()[None, :]
+    bad = simple_shear_f(0.01)
+    bad[entry] = 1e-3
+    fs = np.stack([np.eye(3), simple_shear_f(0.005), bad])
+    streamed = []
+    with pytest.raises(InvalidProgram, match="plane"):
+        run_path(fs, np.arange(3.0), material, pv, sink=lambda i, state: streamed.append(i))
+    with pytest.raises(InvalidProgram, match="plane"):
+        cauchy_response(fs, np.arange(3.0), material, pv, sink=lambda i, c: streamed.append(i))
+    assert streamed == []
