@@ -17,7 +17,6 @@ from .constitutive import (
 from .identify import (
     ExperimentData,
     FitResult,
-    LMOptions,
     WeightingScheme,
     fit_least_squares,
     jacobian_fd,

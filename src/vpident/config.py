@@ -13,6 +13,7 @@ synthetic ground truth from which experiments are generated.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -104,7 +105,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     _reject_unknown(override, base.keys(), path)
     out = {}
     for key, default in base.items():
-        if key in override and isinstance(default, dict) and override[key] is not None:
+        if key in override and isinstance(default, dict):
             if not isinstance(override[key], dict):
                 raise ConfigError(f"config key {path}{key!r} must be an object")
             out[key] = _merge(default, override[key], f"{path}{key}.")
@@ -115,16 +116,22 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _number(raw: dict, key: str, path: str, kind=float):
-    value = raw.get(key)
+def _check_number(value, name: str, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {path}{key}: expected a number, got {value!r}")
+        raise ConfigError(f"config key {name}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {name}: expected a finite number, got {value!r}")
     if kind is int and int(value) != value:
-        raise ConfigError(f"config key {path}{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"config key {name}: expected an integer, got {value!r}")
     return kind(value)
 
 
+def _number(raw: dict, key: str, path: str, kind=float):
+    return _check_number(raw.get(key), f"{path}{key}", kind)
+
+
 def _hardening(block: dict, path: str) -> HardeningParams:
+    _reject_unknown(block, PARAM_NAMES, path)
     values = {name: _number(block, name, path) for name in PARAM_NAMES}
     try:
         return HardeningParams(**values)
@@ -135,10 +142,13 @@ def _hardening(block: dict, path: str) -> HardeningParams:
 def materialize(raw: dict) -> RunConfig:
     """Validate a merged config dict and build the run objects."""
     truth = _hardening(raw["truth_hardening"], "truth_hardening.")
-    if raw["start_hardening"] is None:
+    start_block = raw["start_hardening"]
+    if start_block is None:
         start = HardeningParams.from_vector(truth.as_vector() * 1.2)
+    elif isinstance(start_block, dict):
+        start = _hardening(start_block, "start_hardening.")
     else:
-        start = _hardening(raw["start_hardening"], "start_hardening.")
+        raise ConfigError("config key 'start_hardening' must be an object or null")
 
     mat_block = raw["material"]
     try:
@@ -161,7 +171,7 @@ def materialize(raw: dict) -> RunConfig:
     try:
         program, _ = torsion_program(
             _number(prog_block, "max_shear", "program."),
-            [float(t) for t in targets],
+            [_check_number(t, f"program.targets[{i}]") for i, t in enumerate(targets)],
             _number(prog_block, "n_points", "program.", int),
             _number(prog_block, "duration", "program."),
         )
@@ -199,7 +209,7 @@ def materialize(raw: dict) -> RunConfig:
     if not isinstance(histories, (list, tuple)) or not histories:
         raise ConfigError("histories must be a non-empty list")
     for h in histories:
-        if isinstance(h, bool) or h not in (1, 2):
+        if type(h) is not int or h not in (1, 2):
             raise ConfigError(f"histories: unknown benchmark history {h!r} (use 1 or 2)")
 
     history_steps = _number(raw, "history_steps", "", int)

@@ -168,20 +168,30 @@ def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams,
 FD_REL_STEP = 1.0e-6
 FD_ABS_FLOOR = 1.0e-8
 
+#: Levenberg-Marquardt termination and damping. LM_TOL_G applies to the
+#: whitened gradient measured on unit-column-scaled parameters (so it is
+#: meaningful across mixed parameter units), LM_TOL_F to the relative
+#: decrease of the error functional on accepted steps.
+LM_TOL_G = 1.0e-8
+LM_TOL_F = 1.0e-12
+LM_MAX_ITER = 200
+LM_LAMBDA0 = 1.0e-3
+LM_LAMBDA_FACTOR = 10.0
+LM_LAMBDA_MAX = 1.0e12
 
-def fd_step_sizes(pvec: np.ndarray, rel_step: float = FD_REL_STEP,
-                  abs_floor: float = FD_ABS_FLOOR) -> np.ndarray:
+
+def fd_step_sizes(pvec: np.ndarray) -> np.ndarray:
     """Central-difference steps: relative with an absolute floor."""
-    return np.maximum(rel_step * np.abs(pvec), abs_floor)
+    return np.maximum(FD_REL_STEP * np.abs(pvec), FD_ABS_FLOOR)
 
 
-def _response_and_jacobian(p, response_batch: Callable[[np.ndarray], np.ndarray],
-                           rel_step: float = FD_REL_STEP) -> tuple[np.ndarray, np.ndarray]:
+def _response_and_jacobian(
+        p, response_batch: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Mod(p) and its (N, k) central-difference Jacobian from one
     response_batch call on the rows [p, p+h_1, p-h_1, ..., p+h_k, p-h_k]."""
     pvec = p.as_vector() if isinstance(p, HardeningParams) else np.asarray(p, dtype=float)
     k = len(pvec)
-    h = fd_step_sizes(pvec, rel_step)
+    h = fd_step_sizes(pvec)
     rows = np.tile(pvec, (2 * k + 1, 1))
     for i in range(k):
         rows[2 * i + 1, i] += h[i]
@@ -199,30 +209,10 @@ def response_and_jacobian_fd(p, fixed: MaterialParams,
     return _response_and_jacobian(p, lambda rows: model_response_batch(rows, fixed, program))
 
 
-def jacobian_fd(p, fixed: MaterialParams, program: StrainProgram,
-                rel_step: float = FD_REL_STEP) -> np.ndarray:
+def jacobian_fd(p, fixed: MaterialParams, program: StrainProgram) -> np.ndarray:
     """(N, 6) central-difference sensitivity of the model response, columns
     in the fixed parameter order."""
-    return _response_and_jacobian(
-        p, lambda rows: model_response_batch(rows, fixed, program), rel_step)[1]
-
-
-@dataclass
-class LMOptions:
-    """Termination and damping knobs for the Levenberg-Marquardt loop.
-
-    tol_g applies to the whitened gradient measured on unit-column-scaled
-    parameters (so it is meaningful across mixed parameter units), tol_f to
-    the relative decrease of the error functional on accepted steps. The
-    central-difference steps are fd_step_sizes' defaults, as in jacobian_fd.
-    """
-
-    tol_g: float = 1.0e-8
-    tol_f: float = 1.0e-12
-    max_iter: int = 200
-    lambda0: float = 1.0e-3
-    lambda_factor: float = 10.0
-    lambda_max: float = 1.0e12
+    return response_and_jacobian_fd(p, fixed, program)[1]
 
 
 @dataclass
@@ -248,14 +238,13 @@ def fit_least_squares(
     observations: np.ndarray,
     response_batch: Callable[[np.ndarray], np.ndarray],
     scheme: WeightingScheme,
-    opts: LMOptions | None = None,
     lower_bound: float | None = 0.0,
 ) -> FitResult:
     """Damped least squares on the whitened residual observations - response.
 
     response_batch maps (M, k) parameter rows to (M, N) responses; the
     Jacobian is taken by central differences through the same function.
-    The damping parameter grows by lambda_factor on rejected steps and
+    The damping parameter grows by LM_LAMBDA_FACTOR on rejected steps and
     shrinks on accepted ones, accepted steps never increase the functional,
     and candidate iterates are clipped to the lower bound before they are
     evaluated. A component sitting at the lower bound whose gradient points
@@ -273,7 +262,6 @@ def fit_least_squares(
     is accepted only together with its Jacobian. (Its probe rows would fail
     again.) The start has no such fallback.
     """
-    opts = opts or LMOptions()
     obs = np.asarray(observations, dtype=float)
     p = np.asarray(start, dtype=float).copy()
     if lower_bound is not None:
@@ -292,12 +280,12 @@ def fit_least_squares(
     if len(r) != len(obs):
         raise DimensionMismatch("response length does not match observations")
     phi = scheme.quadratic(r)
-    lam = opts.lambda0
+    lam = LM_LAMBDA0
     history = [(0, phi, lam, True)]
     converged = False
     iterations = 0
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, LM_MAX_ITER + 1):
         iterations = it
         jw = scheme.whiten(j)
         rw = scheme.whiten(r)
@@ -312,19 +300,19 @@ def fit_least_squares(
         free = np.ones(len(p), dtype=bool)
         if lower_bound is not None:
             free = ~((p <= lower_bound) & (grad < 0.0))
-        if np.max(np.abs(g_scaled[free]), initial=0.0) < opts.tol_g:
+        if np.max(np.abs(g_scaled[free]), initial=0.0) < LM_TOL_G:
             converged = True
             break
         a_free = (a / np.outer(dcol, dcol))[np.ix_(free, free)]
         g_free = g_scaled[free]
 
         accepted = False
-        while lam <= opts.lambda_max:
+        while lam <= LM_LAMBDA_MAX:
             q = np.zeros(len(p))
             try:
                 q[free] = np.linalg.solve(a_free + lam * np.eye(len(g_free)), g_free)
             except np.linalg.LinAlgError:
-                lam *= opts.lambda_factor
+                lam *= LM_LAMBDA_FACTOR
                 continue
             candidate = p + q / dcol
             if lower_bound is not None:
@@ -338,13 +326,13 @@ def fit_least_squares(
             if phi_new < phi and j_new is not None:
                 rel_drop = (phi - phi_new) / max(phi, np.finfo(float).tiny)
                 p, r, phi, j = candidate, r_new, phi_new, j_new
-                lam = max(lam / opts.lambda_factor, 1.0e-14)
+                lam = max(lam / LM_LAMBDA_FACTOR, 1.0e-14)
                 history.append((it, phi, lam, True))
                 accepted = True
-                if rel_drop < opts.tol_f:
+                if rel_drop < LM_TOL_F:
                     converged = True
                 break
-            lam *= opts.lambda_factor
+            lam *= LM_LAMBDA_FACTOR
             history.append((it, phi_new, lam, False))
         if not accepted:
             break
@@ -360,7 +348,6 @@ def levenberg_marquardt(
     scheme: WeightingScheme,
     fixed: MaterialParams,
     program: StrainProgram,
-    opts: LMOptions | None = None,
 ) -> FitResult:
     """Identify the hardening parameters from measured shear stresses."""
     if data.n != program.n_points:
@@ -372,6 +359,5 @@ def levenberg_marquardt(
         data.observations,
         lambda probes: model_response_batch(probes, fixed, program),
         scheme,
-        opts=opts,
         lower_bound=0.0,
     )

@@ -14,7 +14,7 @@ a running maximum per pair of parameter sets and stores no stress history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .loading import DeformationHistory
 
 #: members simulated per vectorized pass when a cloud is scored
 CHUNK = 1024
+#: round-off allowance of the hard axiom checks and of zero distance, MPa
+AXIOM_SLACK = 1.0e-9
 
 
 def _vec(p) -> np.ndarray:
@@ -119,8 +121,8 @@ class AxiomReport:
     triangle_ok: bool
     max_symmetry_defect: float
     max_triangle_violation: float
-    separation_violations: list = field(default_factory=list)
-    distances: np.ndarray | None = None
+    separation_violations: list
+    distances: np.ndarray
 
     @property
     def separation_ok(self) -> bool:
@@ -143,7 +145,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def check_metric_axioms(spec: MetricSpec, samples, slack: float = 1.0e-9) -> AxiomReport:
+def check_metric_axioms(spec: MetricSpec, samples) -> AxiomReport:
     """Evaluate the metric axioms on every pair/triple of the samples, with
     all pairwise distances from one streamed pass over the samples."""
     vecs = np.stack([_vec(s) for s in samples])
@@ -160,14 +162,14 @@ def check_metric_axioms(spec: MetricSpec, samples, slack: float = 1.0e-9) -> Axi
     violations = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not np.array_equal(vecs[i], vecs[j]) and d[i, j] <= slack:
+            if not np.array_equal(vecs[i], vecs[j]) and d[i, j] <= AXIOM_SLACK:
                 violations.append((i, j))
 
     return AxiomReport(
         n_samples=n,
-        nonnegativity_ok=bool(np.all(d >= -slack)),
-        symmetry_ok=sym_defect <= slack,
-        triangle_ok=max_tri <= slack,
+        nonnegativity_ok=bool(np.all(d >= -AXIOM_SLACK)),
+        symmetry_ok=sym_defect <= AXIOM_SLACK,
+        triangle_ok=max_tri <= AXIOM_SLACK,
         max_symmetry_defect=sym_defect,
         max_triangle_violation=max_tri,
         separation_violations=violations,

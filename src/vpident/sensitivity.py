@@ -18,7 +18,7 @@ cone, which is flagged, not clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -141,7 +141,7 @@ class CloudReport:
     p_star: np.ndarray
     size_per_history: dict
     variances: np.ndarray
-    outside_cone: np.ndarray = field(default=None)
+    outside_cone: np.ndarray
 
     def members(self) -> list:
         """Cloud rows as HardeningParams where admissible, else None."""
@@ -158,7 +158,7 @@ def monte_carlo_cloud(
     exp: np.ndarray,
     n_instances: int,
     master_seed: int,
-    metrics: Mapping[int, MetricSpec] | None = None,
+    metrics: Mapping[int, MetricSpec],
 ) -> CloudReport:
     """Re-identify parameters for n_instances independent noise draws.
 
@@ -182,7 +182,7 @@ def monte_carlo_cloud(
         cloud[j] = lin.p_star + g @ (exp + noise - lin.mod_star)
 
     sizes = {}
-    for key, spec in (metrics or {}).items():
+    for key, spec in metrics.items():
         dists = mechanics_distances(cloud, lin.p_star, spec)
         sizes[key] = float(np.mean(dists))
 

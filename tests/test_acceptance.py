@@ -278,7 +278,7 @@ def test_criterion_08_metric_axioms(material, truth, metrics):
     ok = True
     details = [f"{n_pairs} pairs / {n * (n - 1) * (n - 2) // 6} triples per history"]
     for h, spec in metrics.items():
-        rep = check_metric_axioms(spec, samples, slack=1e-9)
+        rep = check_metric_axioms(spec, samples)
         ok = ok and rep.nonnegativity_ok and rep.symmetry_ok and rep.triangle_ok
         ok = ok and rep.separation_ok
         details.append(f"h{h}: triangle slack {rep.max_triangle_violation:.1e}, "
@@ -290,7 +290,7 @@ def test_criterion_08_metric_axioms(material, truth, metrics):
     f2 = np.diag([stretch, stretch**-0.5, stretch**-0.5])
     elastic = DeformationHistory(keypoints=((0.0, np.eye(3)), (200.0, f2), (400.0, np.eye(3))))
     elastic_spec = MetricSpec(elastic, material, n_steps=100)
-    elastic_rep = check_metric_axioms(elastic_spec, samples[:5], slack=1e-9)
+    elastic_rep = check_metric_axioms(elastic_spec, samples[:5])
     ok = ok and not elastic_rep.separation_ok
     details.append(f"elastic-only history: {len(elastic_rep.separation_violations)} "
                    "separation failures reported (expected)")

@@ -11,7 +11,7 @@ from vpident import constitutive, identify, metric
 
 PUBLIC = [
     "AxiomReport", "CloudReport", "DeformationHistory", "ExperimentData", "FitResult",
-    "HardeningParams", "InternalState", "LMOptions", "LinearizedModel", "MaterialParams",
+    "HardeningParams", "InternalState", "LinearizedModel", "MaterialParams",
     "MetricSpec", "NoiseModel", "PARAM_NAMES", "StrainProgram", "StressOutput",
     "WeightingScheme", "backstresses", "benchmark_history", "cauchy_response",
     "check_metric_axioms", "covariance", "dist_euclidean", "dist_euclidean_nondim",

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from vpident.cli import main, read_data_file, read_param_file, write_param_file
+from vpident import metric
+from vpident.cli import _metric_specs, main, read_data_file, read_param_file, write_param_file
 from vpident.config import DEFAULT_CONFIG, load_config
-from vpident.constitutive import PARAM_NAMES, HardeningParams
+from vpident.constitutive import PARAM_NAMES, HardeningParams, cauchy_response
 from vpident.errors import ConfigError
+from vpident.metric import dist_mechanics
 
 
 SMALL = {
@@ -91,6 +94,82 @@ def test_boolean_history_rejected(tmp_path):
 
 def test_default_config_is_json_clean():
     json.dumps(DEFAULT_CONFIG)
+
+
+def _key_paths(block, prefix=()):
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _numbers(obj):
+    """Every number held by a RunConfig, through its dataclasses."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _numbers(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _numbers(item)
+    elif isinstance(obj, np.ndarray):
+        yield from obj.ravel().tolist()
+    elif isinstance(obj, (int, float)):
+        yield obj
+
+
+#: wrong types, wrong shapes, boundary and non-finite values; no large
+#: sizes, because a valid n_points, n_instances or history_steps is allocated
+SWEEP_VALUES = [None, True, "x", [], {}, 1.5, -1, 0, [1.0], ["a"], {"a": 1},
+                float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("key_path", list(_key_paths(DEFAULT_CONFIG)), ids=".".join)
+def test_config_value_sweep(key_path, tmp_path):
+    """Any value at any key either fails validation with a ConfigError or
+    yields a run configuration of finite numbers; no other exception."""
+    path = tmp_path / "sweep.json"
+    for value in SWEEP_VALUES:
+        raw = value
+        for key in reversed(key_path):
+            raw = {key: raw}
+        path.write_text(json.dumps(raw))
+        try:
+            cfg = load_config(str(path), environ={})
+        except ConfigError:
+            continue
+        assert all(np.isfinite(x) for x in _numbers(cfg)), (key_path, value)
+        assert all(type(h) is int for h in cfg.histories), (key_path, value)
+
+
+def test_config_sweep_covers_every_key():
+    assert len(list(_key_paths(DEFAULT_CONFIG))) == 34
+
+
+def _with_program(**keys):
+    return {**SMALL, "program": {**SMALL["program"], **keys}}
+
+
+@pytest.mark.parametrize("command, raw, key", [
+    ("simulate", {**SMALL, "material": {"mu": float("nan")}}, "material.mu"),
+    ("simulate", {**SMALL, "history_duration": float("inf")}, "history_duration"),
+    ("simulate", _with_program(n_points=float("inf")), "program.n_points"),
+    ("simulate", {**SMALL, "material": None}, "'material'"),
+    ("simulate", {**SMALL, "start_hardening": 1.5}, "'start_hardening'"),
+    ("simulate", {**SMALL, "start_hardening": {**DEFAULT_CONFIG["truth_hardening"], "gama": 1.0}},
+     "'gama'"),
+    ("simulate", _with_program(targets=[0.12, "a"]), "program.targets[1]"),
+    ("simulate", _with_program(max_shear=2.0, targets=[True]), "program.targets[0]"),
+    ("montecarlo", {**SMALL, "histories": [1.0]}, "histories"),
+])
+def test_malformed_config_exits_2_naming_the_key(command, raw, key, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--instances", "2"] if command == "montecarlo" else [])) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +531,32 @@ def test_distance_identical_files(small_config, tmp_path, capsys, truth):
     assert "mechanics history 1: 0.0" in outp
 
 
-def test_distance_different_parameter_sets(small_config, tmp_path, capsys, truth):
+def test_distance_different_parameter_sets(small_config, tmp_path, capsys, truth,
+                                           monkeypatch):
     p1 = tmp_path / "p1.csv"
     p2 = tmp_path / "p2.csv"
     write_param_file(str(p1), truth)
     from vpident import HardeningParams
     other = HardeningParams(321.92, 2.003, 1488.4, 20512.0, 0.004087, 0.004526)
     write_param_file(str(p2), other)
+    specs = _metric_specs(load_config(small_config), [1, 2])
+    expected = {h: repr(dist_mechanics(truth, other, spec)) for h, spec in specs.items()}
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[3]))
+        return cauchy_response(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "cauchy_response", counting)
     assert main(["distance", str(p1), str(p2), "--config", small_config,
-                 "--history", "1"]) == 0
+                 "--history", "1", "--history", "2"]) == 0
     out = capsys.readouterr().out
     line = [l for l in out.splitlines() if l.startswith("mechanics history 1:")][0]
     assert float(line.split(":")[1]) > 0.0
+    # the printed distance comes from the axiom pass: one integration per history
+    for h in (1, 2):
+        assert f"mechanics history {h}: {expected[h]}" in out.splitlines()
+    assert calls == [3, 3]
 
 
 def test_distance_unknown_history(small_config, tmp_path, truth):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vpident import (
     ExperimentData,
     HardeningParams,
-    LMOptions,
     WeightingScheme,
     fit_least_squares,
     jacobian_fd,
@@ -16,6 +15,7 @@ from vpident import (
     model_response,
     torsion_program,
 )
+from vpident import identify
 from vpident.errors import DataError, DimensionMismatch, FactorizationFailure, StepFailure
 from vpident.identify import (
     N_SUB_RESPONSE,
@@ -217,24 +217,32 @@ def test_jacobian_elastic_program_is_zero(material, truth):
     assert np.max(np.abs(jac)) < 1e-9  # hardening invisible below yield
 
 
-def test_jacobian_richardson_self_check(material, truth, small_program):
+def jacobian_at_step(monkeypatch, rel_step, *args):
+    """jacobian_fd(*args) with FD_REL_STEP set to rel_step."""
+    monkeypatch.setattr(identify, "FD_REL_STEP", rel_step)
+    return jacobian_fd(*args)
+
+
+def test_jacobian_richardson_self_check(material, truth, small_program, monkeypatch):
     """Halving the step changes central-difference entries by O(step^2).
 
     Steps are taken large enough that truncation dominates roundoff (at the
     default step the entries are already at the noise floor ~1e-8)."""
-    j_ref = jacobian_fd(truth, material, small_program, rel_step=1e-6)
-    j_h = jacobian_fd(truth, material, small_program, rel_step=0.1)
-    j_h2 = jacobian_fd(truth, material, small_program, rel_step=0.05)
+    args = (truth, material, small_program)
+    j_ref = jacobian_at_step(monkeypatch, 1e-6, *args)
+    j_h = jacobian_at_step(monkeypatch, 0.1, *args)
+    j_h2 = jacobian_at_step(monkeypatch, 0.05, *args)
     col = np.max(np.abs(j_ref), axis=0)
     err_h = np.max(np.abs(j_h - j_ref), axis=0) / col
     err_h2 = np.max(np.abs(j_h2 - j_ref), axis=0) / col
     assert np.all(err_h2 <= 0.35 * err_h)
 
 
-def test_jacobian_default_step_at_noise_floor(material, truth, small_program):
+def test_jacobian_default_step_at_noise_floor(material, truth, small_program, monkeypatch):
     """At the default relative step the Jacobian is converged to ~1e-7."""
-    j1 = jacobian_fd(truth, material, small_program, rel_step=1e-6)
-    j2 = jacobian_fd(truth, material, small_program, rel_step=2e-6)
+    args = (truth, material, small_program)
+    j1 = jacobian_at_step(monkeypatch, 1e-6, *args)
+    j2 = jacobian_at_step(monkeypatch, 2e-6, *args)
     col = np.max(np.abs(j1), axis=0)
     assert np.max(np.abs(j1 - j2) / col[None, :]) < 1e-6
 
@@ -384,7 +392,7 @@ def test_lm_rejects_a_trial_whose_probe_rows_fail():
     assert fit.phi == pytest.approx(clean.phi, rel=1e-9)
 
 
-def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program):
+def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program, monkeypatch):
     """The fit's Jacobian is the one at the fitted parameters: it equals
     jacobian_fd there exactly, on a clean fit and on noisy ones, the last
     with rejected trials. So linearize(), which recomputes it at
@@ -392,12 +400,13 @@ def test_fit_jacobian_belongs_to_fitted_point(material, truth, small_program):
     exp = model_response(truth, material, small_program)
     rng = np.random.default_rng(1)
     noisy = exp + rng.normal(size=len(exp)) * 20.0
-    short = LMOptions(max_iter=5)
-    for obs, scale, opts in ((exp, 1.3, None), (noisy, 1.3, short), (noisy, 2.0, short)):
+    full = identify.LM_MAX_ITER
+    for obs, scale, max_iter in ((exp, 1.3, full), (noisy, 1.3, 5), (noisy, 2.0, 5)):
+        monkeypatch.setattr(identify, "LM_MAX_ITER", max_iter)
         start = HardeningParams.from_vector(truth.as_vector() * scale)
         data = ExperimentData(obs, small_program.shear_values)
         fit = levenberg_marquardt(start, data, WeightingScheme.identity(data.n),
-                                  material, small_program, opts=opts)
+                                  material, small_program)
         assert np.array_equal(fit.jacobian, jacobian_fd(fit.params, material, small_program))
     assert not all(accepted for *_, accepted in fit.history)
 
