@@ -27,7 +27,7 @@ from .identify import (
 from .loading import StrainProgram, benchmark_history
 from .metric import MetricSpec, check_metric_axioms, dist_euclidean, dist_euclidean_nondim
 from .noise import NoiseModel, covariance, has_covariance, sample_noise
-from .sensitivity import CloudReport, linearize_at, monte_carlo_cloud
+from .sensitivity import CloudReport, _nonzero_reference, linearize_at, monte_carlo_cloud
 
 
 def _fmt(value) -> str:
@@ -225,6 +225,7 @@ def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
     base = read_param_file(params_path) if params_path else cfg.truth
     for kind in schemes:  # before the linearization and the first draw
         _require_covariance(kind, cfg.noise)
+    _nonzero_reference(base)
     lin = linearize_at(base, cfg.material, cfg.program)
     exp = lin.mod_star
     metrics = _metric_specs(cfg, history_ids)

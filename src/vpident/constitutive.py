@@ -113,10 +113,10 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("k", "mu", "K", "k0", "eta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"material parameter {name} must be > 0")
-        if self.m < 1.0:
-            raise ValueError("stress exponent m must be >= 1")
+            if not 0.0 < getattr(self, name) < np.inf:  # also false on NaN
+                raise ValueError(f"material parameter {name} must be finite and > 0")
+        if not 1.0 <= self.m < np.inf:
+            raise ValueError("stress exponent m must be finite and >= 1")
 
     def with_hardening(self, hardening: HardeningParams) -> "MaterialParams":
         return replace(self, hardening=hardening)
@@ -241,14 +241,6 @@ def _plane(a: np.ndarray) -> np.ndarray:
     return np.stack([a[..., i, j] for i, j in _PLANE])
 
 
-def _full(x: np.ndarray) -> np.ndarray:
-    """(..., 3, 3) tensors with the (5, ...) plane components x."""
-    out = np.zeros(x.shape[1:] + (3, 3))
-    for row, (i, j) in zip(x, _PLANE):
-        out[..., i, j] = row
-    return out
-
-
 def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product A B. One factor has the full batch shape; the other has as
     many axes and broadcasts against it."""
@@ -352,13 +344,12 @@ def _advance(state, C_new, mat: MaterialParams, hp, dt: float):
     """One integration step for the whole batch to end-of-step strain C_new,
     given as (5, 1) plane components.
 
-    state = (S, S_inv, s, sd): S holds [Ci, C1i, C2i] as (5, 3, M) plane
-    components and S_inv = _pinv(S) is carried with it; hp = (gamma, beta,
-    c1, c2, kappa1, kappa2) as (M,) arrays. Each tensor operation runs once
-    on the stack. Elastic entries pass through bit-identically and keep
-    their carried inverses.
+    state = (S, s, sd): S holds [Ci, C1i, C2i] as (5, 3, M) plane
+    components; hp = (gamma, beta, c1, c2, kappa1, kappa2) as (M,) arrays.
+    Each tensor operation runs once on the stack. Elastic entries pass
+    through bit-identically.
     """
-    S, S_inv, s, sd = state
+    S, s, sd = state
     gam, bet, c1, c2, kap1, kap2 = hp
     s_e = s - sd
     # Trial step with frozen state: dev unimodular [C Ci^-1, Ci C1i^-1,
@@ -368,7 +359,7 @@ def _advance(state, C_new, mat: MaterialParams, hp, dt: float):
     lhs = np.empty_like(S)
     lhs[:, 0] = C_new
     lhs[:, 1:] = S[:, :1]
-    dev = _pdev_unimodular(_pmul(lhs, S_inv))
+    dev = _pdev_unimodular(_pmul(lhs, _pinv(S)))
     xi = dev[:, 0]
     xi *= mat.mu
     xi -= 0.5 * c1 * dev[:, 1]
@@ -404,7 +395,6 @@ def _advance(state, C_new, mat: MaterialParams, hp, dt: float):
     ds = dt * SQ23 * lam
     return (
         np.where(plastic, S_new, S),
-        np.where(plastic, _pinv(S_new), S_inv),
         np.where(plastic, s + ds, s),
         np.where(plastic, sd + bet * ds * s_e, sd),
     )
@@ -442,39 +432,36 @@ def run_path(
     material: MaterialParams,
     pvecs: np.ndarray,
     n_sub: int = 1,
-    sink: Callable[[int, tuple], None] | None = None,
-):
+    *,
+    sink: Callable[[int, tuple], None],
+) -> None:
     """Integrate a batch of parameter sets along one plane deformation path.
 
     F_samples: (T, 3, 3) deformation gradients at strictly increasing times
     (T,), with zero xz, yz, zx and zy entries (else InvalidProgram); the path
     is linear in F between samples, with n_sub steps per interval. pvecs:
     (M, 6) hardening vectors in PARAM_NAMES order. For every sample index i,
-    in order, ``sink(i, state)`` receives the carried plane state
-    (S, S_inv, s, sd) after that sample (see _advance; i = 0 is the initial
-    state). The sink must not modify it. Returns the final state arrays
-    (Ci, C1i, C2i, s, sd), the tensors as (M, 3, 3).
+    in order, ``sink(i, state)`` receives the plane state (S, s, sd) after
+    that sample (see _advance; i = 0 is the initial state). The sink must
+    not modify it; it is the only output.
     """
     F_samples, times = _check_path(F_samples, times, n_sub)
     hp = _hp_arrays(pvecs)
     m = len(hp[0])
     S = np.broadcast_to(np.array([1.0, 0.0, 0.0, 1.0, 1.0])[:, None, None], (5, 3, m)).copy()
-    state = (S, S.copy(), np.zeros(m), np.zeros(m))
+    state = (S, np.zeros(m), np.zeros(m))
     # C = F^T F at the end of every substep; w = 1 gives F_samples[i] exactly
     w = np.arange(1, n_sub + 1) / n_sub
     f = _plane(F_samples)[:, :, None]
     f_sub = (1.0 - w) * f[:, :-1] + w * f[:, 1:]
     c_sub = _pmul(f_sub[_P_T], f_sub)
 
-    if sink is not None:
-        sink(0, state)
+    sink(0, state)
     for i in range(1, len(times)):
         dt = (times[i] - times[i - 1]) / n_sub
         for j in range(n_sub):
             state = _advance(state, c_sub[:, i - 1, j, None], material, hp, dt)
-        if sink is not None:
-            sink(i, state)
-    return (*_full(state[0]), state[2], state[3])
+        sink(i, state)
 
 
 def cauchy_response(
@@ -486,9 +473,10 @@ def cauchy_response(
     *,
     sink: Callable[[int, np.ndarray], None],
 ) -> None:
-    """Stream the (M, 3, 3) Cauchy stresses at each sample point of a plane
-    path (see run_path): ``sink(i, cauchy)`` gets sample i's stresses as a
-    fresh array it may overwrite. No stress history is stored."""
+    """Stream the Cauchy stresses at each sample point of a plane path (see
+    run_path): ``sink(i, t)`` gets sample i's stresses as the symmetric
+    (5, M) plane rows [xx, xy, yx, yy, zz], a fresh array it may overwrite.
+    No stress history is stored."""
     F_samples, times = _check_path(F_samples, times, n_sub)
     detF = det(F_samples)
     if np.any(detF <= 0.0):
@@ -499,10 +487,10 @@ def cauchy_response(
 
     def push_forward(i, state):
         # second Piola-Kirchhoff stress from C^-1 and A = C Ci^-1, then F T F^T / J
-        a_el = _pmul(c[:, i], state[1][:, 0])
+        a_el = _pmul(c[:, i], _pinv(state[0][:, 0]))
         lnj = 0.5 * np.log(_pdet(a_el))
         t = k * lnj * c_inv[:, i] + mu * _pmul(c_inv[:, i], _pdev_unimodular(a_el))
         t = _pmul(f[:, i], _pmul(_psym(t), f[_P_T, i])) / detF[i]
-        sink(i, _full(_psym(t)))
+        sink(i, _psym(t))
 
     run_path(F_samples, times, material, pvecs, n_sub=n_sub, sink=push_forward)

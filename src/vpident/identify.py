@@ -155,8 +155,8 @@ def model_response_batch(pvecs: np.ndarray, fixed: MaterialParams,
     streamed from the integrator one sample at a time."""
     out = np.empty((len(pvecs), program.n_points))
 
-    def keep_shear(i, cauchy):
-        out[:, i] = cauchy[:, 0, 1]
+    def keep_shear(i, t):
+        out[:, i] = t[1]
 
     cauchy_response(program.deformation_gradients(), program.times(), fixed, pvecs,
                     n_sub=N_SUB_RESPONSE, sink=keep_shear)

@@ -75,10 +75,12 @@ def _max_gaps(spec: MetricSpec, rows: np.ndarray, n_refs: int) -> np.ndarray:
     times, f = spec.history.grid(spec.n_steps)
     out = np.zeros((len(rows), n_refs))
 
-    def score(i, cauchy):
-        gap = cauchy[:, None] - cauchy[None, :n_refs]
+    def score(i, t):
+        # (5, M, n_refs) plane gaps, xy and yx both counted; summing the rows
+        # in order adds them as numpy adds the nonzero entries of a 3x3 gap
+        gap = t[:, :, None] - t[:, None, :n_refs]
         gap *= gap
-        np.maximum(out, np.sum(gap, axis=(-2, -1)), out=out)
+        np.maximum(out, gap.sum(axis=0), out=out)
 
     cauchy_response(f, times, spec.material, rows, sink=score)
     return np.sqrt(out, out=out)

@@ -37,8 +37,8 @@ class NoiseModel:
         if self.kind not in ("white", "ar", "two_source"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("sigma", "sigma1", "sigma2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < np.inf:  # also false on NaN
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("autoregression coefficient must lie in [0, 1)")
 

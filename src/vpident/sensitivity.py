@@ -172,8 +172,8 @@ def monte_carlo_cloud(
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     exp = np.asarray(exp, dtype=float)
-    g = normal_solve_operator(lin.jacobian, scheme)
     _nonzero_reference(lin.p_star)
+    g = normal_solve_operator(lin.jacobian, scheme)
 
     # same association as reidentify_linear so rows match it bit-for-bit
     cloud = np.empty((n_instances, len(lin.p_star)))

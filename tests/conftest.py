@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vpident import HardeningParams, MaterialParams, cauchy_response, torsion_program
+from vpident.constitutive import _PLANE
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +41,20 @@ def random_spd_unimodular(rng, scale=0.1):
     return a / np.cbrt(np.linalg.det(a))
 
 
+def _full(x):
+    """(..., 3, 3) tensors with the (5, ...) plane components x."""
+    out = np.zeros(x.shape[1:] + (3, 3))
+    for row, (i, j) in zip(x, _PLANE):
+        out[..., i, j] = row
+    return out
+
+
 def stored_cauchy(F_samples, times, material, pvecs, n_sub=1):
     """(M, T, 3, 3) Cauchy stress histories, collected from cauchy_response's
-    sink: the program streams them and stores none."""
+    sink: the program streams them as plane rows and stores none."""
     rows = []
     cauchy_response(F_samples, times, material, np.atleast_2d(pvecs), n_sub=n_sub,
-                    sink=lambda i, cauchy: rows.append(cauchy))
+                    sink=lambda i, t: rows.append(_full(t)))
     return np.stack(rows, axis=1)
 
 

@@ -38,12 +38,12 @@ from vpident import (
     second_pk_stress,
     simple_shear_f,
 )
-from vpident.constitutive import _full, run_path
+from vpident.constitutive import run_path
 from vpident.identify import ExperimentData
 from vpident.metric import mechanics_distances
 from vpident.sensitivity import LinearizedModel
 
-from conftest import random_spd, random_spd_unimodular
+from conftest import _full, random_spd, random_spd_unimodular
 from test_constitutive import fd_stress_from_energy
 
 SEED = 20260808

@@ -3,8 +3,13 @@ deliberate change of this list. So are the signatures that the benchmark's
 tracer (perfbench/tracing.py) binds by parameter name: renaming one would
 silently zero a traced layer."""
 
+import importlib.util
 import inspect
+import sys
 import types
+from pathlib import Path
+
+import numpy as np
 
 import vpident
 from vpident import constitutive, identify, metric
@@ -47,3 +52,23 @@ def test_traced_signatures_are_pinned():
     assert metric.cauchy_response is constitutive.cauchy_response
     for fn in (identify.model_response_batch, metric.mechanics_distances):
         assert "pvecs" in inspect.signature(fn).parameters
+
+
+def test_benchmark_trace_sites_exist(monkeypatch, material):
+    """Every site perfbench/tracing.py rebinds exists, and the integration
+    counter reads times, n_sub and pvecs from a cauchy_response call."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for owner_spec, attr, _ in tracing.SPAN_SITES + tracing.COUNT_SITES:
+        owner = tracing._owner(owner_spec)
+        assert attr in (vars(owner) if isinstance(owner, type) else dir(owner)), (owner_spec, attr)
+    bound = inspect.signature(constitutive.cauchy_response).bind(
+        np.stack([np.eye(3)] * 4), np.arange(4.0), material, np.zeros((3, 6)), 2,
+        sink=lambda i, t: None)
+    bound.apply_defaults()
+    count = tracing._COUNTERS[tracing.INTEGRATION](bound.arguments)
+    assert count == {"steps": 6, "member_steps": 18}

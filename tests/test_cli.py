@@ -341,23 +341,28 @@ def test_montecarlo_integrates_the_base_point_once(small_config, tmp_path, monke
 def test_montecarlo_zero_base_parameter_fails_before_the_draws(small_config, tmp_path,
                                                               monkeypatch, capsys, truth):
     """A zero component of the base point makes the normalized variances
-    undefined. The run exits 5 with the ZeroReferenceParameter message before
-    any noise draw or metric pass, and writes no CSV."""
-    from vpident import sensitivity
+    undefined. For each component, also one whose Jacobian column would
+    vanish (gamma, c1), the run exits 5 with the ZeroReferenceParameter
+    message before the linearization, any noise draw or metric pass, and
+    writes no CSV."""
+    from vpident import cli, sensitivity
 
     calls = []
+    monkeypatch.setattr(cli, "linearize_at", lambda *a: calls.append("lin"))
     monkeypatch.setattr(sensitivity, "mechanics_distances", lambda *a, **k: calls.append("metric"))
     monkeypatch.setattr(sensitivity, "sample_noise", lambda *a, **k: calls.append("draw"))
-    params = tmp_path / "zero_beta.csv"
-    write_param_file(str(params), HardeningParams.from_vector(truth.as_vector() * [1, 0, 1, 1, 1, 1]))
-    out = tmp_path / "mc"
-    assert main(["montecarlo", "--config", small_config, "--instances", "50",
-                 "--weighting", "all", "--history", "1", "--params", str(params),
-                 "--out", str(out)]) == 5
-    assert calls == []
-    assert capsys.readouterr().err == (
-        "numerical failure: normalized variances need nonzero reference parameters\n")
-    assert not out.exists() or not any(out.iterdir())
+    for name in PARAM_NAMES:
+        params = tmp_path / f"zero_{name}.csv"
+        write_param_file(str(params), HardeningParams.from_vector(
+            truth.as_vector() * (np.array(PARAM_NAMES) != name)))
+        out = tmp_path / f"mc_{name}"
+        assert main(["montecarlo", "--config", small_config, "--instances", "50",
+                     "--weighting", "all", "--history", "1", "--params", str(params),
+                     "--out", str(out)]) == 5
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "numerical failure: normalized variances need nonzero reference parameters\n")
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_montecarlo_ar_noise_fails_before_the_linearization(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,7 @@ from vpident.constitutive import (
     DET_TOL,
     SQ23,
     _advance,
-    _full,
     _hp_arrays,
-    _pinv,
     _plane,
     _pk2_kernel,
     run_path,
@@ -37,7 +37,7 @@ from vpident.errors import (
 from vpident.identify import N_SUB_RESPONSE
 from vpident.loading import DeformationHistory
 
-from conftest import random_spd, random_spd_unimodular, stored_cauchy
+from conftest import _full, random_spd, random_spd_unimodular, stored_cauchy
 
 
 def fd_stress_from_energy(energy, h=1e-6):
@@ -55,6 +55,13 @@ def fd_stress_from_energy(energy, h=1e-6):
         g = (energy(d) - energy(-d)) / (2.0 * h)
         t[i, j] = t[j, i] = g
     return t
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["k", "mu", "eta", "m", "K", "k0"])
+def test_material_rejects_non_finite_constants(material, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(material, **{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +246,10 @@ def test_too_large_step_raises_step_failure(material):
     pv = material.hardening.as_vector()[None, :]
     with pytest.raises(StepFailure):
         run_path(np.stack([np.eye(3), simple_shear_f(1.5)]),
-                 np.array([0.0, 0.5]), material, pv, n_sub=1)
+                 np.array([0.0, 0.5]), material, pv, n_sub=1, sink=lambda i, state: None)
     with pytest.raises(StepFailure):
         run_path(np.stack([np.eye(3), simple_shear_f(3.0)]),
-                 np.array([0.0, 0.1]), material, pv, n_sub=1)
+                 np.array([0.0, 0.1]), material, pv, n_sub=1, sink=lambda i, state: None)
 
 
 def test_overstress_unit_ratio_through_state(material):
@@ -256,12 +263,17 @@ def test_overstress_unit_ratio_through_state(material):
     assert out.lambda_i >= 0.0
 
 
-def _final_state(prog, fs, material):
-    from vpident.constitutive import run_path
+def _last_state(fs, times, material, pvecs, n_sub):
+    """The plane state (S, s, sd) that run_path's sink gets last."""
+    states = []
+    run_path(fs, times, material, pvecs, n_sub=n_sub, sink=lambda i, state: states.append(state))
+    return states[-1]
 
-    arrays = run_path(fs, prog.times(), material, material.hardening.as_vector()[None, :], n_sub=2)
-    return InternalState(arrays[0][0], arrays[1][0], arrays[2][0],
-                         float(arrays[3][0]), float(arrays[4][0]))
+
+def _final_state(prog, fs, material):
+    S, s, sd = _last_state(fs, prog.times(), material,
+                           material.hardening.as_vector()[None, :], n_sub=2)
+    return InternalState(*_full(S[:, :, 0]), float(s[0]), float(sd[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +289,7 @@ def states_along(shear_of_t, material, grid):
     states = []
 
     def sink(i, state):
-        S, _, s, sd = state
+        S, s, sd = state
         states.append(InternalState(*_full(S[:, :, 0]), float(s[0]), float(sd[0])))
 
     run_path(fs, grid, material, pvecs, n_sub=1, sink=sink)
@@ -301,9 +313,9 @@ def test_run_path_invalid_grid(material):
     pv = material.hardening.as_vector()[None, :]
     fs = np.stack([np.eye(3), np.eye(3)])
     with pytest.raises(InvalidTimeGrid):
-        run_path(fs, np.array([1.0, 1.0]), material, pv)
+        run_path(fs, np.array([1.0, 1.0]), material, pv, sink=lambda i, state: None)
     with pytest.raises(InvalidTimeGrid):
-        run_path(fs, np.array([0.0, 1.0]), material, pv, n_sub=0)
+        run_path(fs, np.array([0.0, 1.0]), material, pv, n_sub=0, sink=lambda i, state: None)
 
 
 def test_monotonic_shear_flows_and_stays_unimodular(material):
@@ -362,13 +374,11 @@ def test_small_strain_shear_tangent(material):
 
 
 def test_dissipation_sign_along_default_program(material, default_program):
-    from vpident.constitutive import run_path
-
     fs = default_program.deformation_gradients()
-    states = run_path(fs, default_program.times(), material,
-                      material.hardening.as_vector()[None, :], n_sub=1)
-    assert float(states[3][0]) > 0.0
-    assert float(states[3][0]) - float(states[4][0]) >= 0.0
+    _, s, sd = _last_state(fs, default_program.times(), material,
+                           material.hardening.as_vector()[None, :], n_sub=1)
+    assert float(s[0]) > 0.0
+    assert float(s[0]) - float(sd[0]) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +421,14 @@ _rows = st.lists(st.tuples(*[_factor] * 6), min_size=1, max_size=6)
 @settings(max_examples=10, deadline=None)
 @given(rows=_rows)
 def test_final_metric_tensors_stay_admissible(material, truth, rows):
-    """After plastic flow every row's Ci, C1i and C2i from run_path is
-    symmetric, positive definite and unimodular within DET_TOL. The path
-    and substeps are those of the batched response."""
+    """After plastic flow every row's Ci, C1i and C2i in run_path's last
+    state is symmetric, positive definite and unimodular within DET_TOL. The
+    path and substeps are those of the batched response."""
     prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
     pvecs = truth.as_vector()[None, :] * np.array(rows)
-    *tensors_out, s, _ = run_path(fs, prog.times(), material, pvecs, n_sub=N_SUB_RESPONSE)
+    S, s, _ = _last_state(fs, prog.times(), material, pvecs, n_sub=N_SUB_RESPONSE)
     assert np.all(s > 0.0)
-    for a in tensors_out:
+    for a in _full(S):
         assert a.shape == (len(pvecs), 3, 3)
         assert np.array_equal(a, np.swapaxes(a, -1, -2))
         assert np.all(np.linalg.eigvalsh(a) > 0.0)
@@ -436,28 +446,31 @@ def _mixed_path(truth):
     return cs, pvecs
 
 
-def test_carried_inverse_equals_inverse_of_state(material, truth):
-    """The carried plane S_inv is _pinv(S) bit for bit after every step,
-    also after steps in which some rows flow and others stay elastic."""
+def test_elastic_rows_hand_on_their_state(material, truth):
+    """At every step the rows that did not flow hand on their S, s and sd
+    bit for bit, also in steps in which other rows flow."""
     cs, pvecs = _mixed_path(truth)
     hp = _hp_arrays(pvecs)
     S = _plane(np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)))
-    state = (S, _pinv(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
+    state = (S, np.zeros(len(pvecs)), np.zeros(len(pvecs)))
     kinds = set()
     for c in cs[1:]:
         new = _advance(state, _plane(c)[:, None], material, hp, 1.0)
-        flowed = tuple(new[2] != state[2])
-        kinds.add("mixed" if 0 < sum(flowed) < len(flowed) else "uniform")
+        flowed = new[1] != state[1]
+        kinds.add("mixed" if 0 < flowed.sum() < len(flowed) else "uniform")
+        assert np.array_equal(new[0][..., ~flowed], state[0][..., ~flowed])
+        assert np.array_equal(new[1][~flowed], state[1][~flowed])
+        assert np.array_equal(new[2][~flowed], state[2][~flowed])
         state = new
-        assert np.array_equal(state[1], _pinv(state[0]))
     assert kinds == {"mixed", "uniform"}
 
 
 def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
     """Per run one 3x3 det (of the sampled F) and one 3x3 inverse (of C at
-    the samples), and no 3x3 call per step. In the plane kernel: per plastic
-    step one inverse and three det calls (unimodular and the two of the
-    projection), per elastic step one det, per sample two det."""
+    the samples), and no 3x3 call per step. In the plane kernel: one inverse
+    per step and per sample; per plastic step three det calls (unimodular
+    and the two of the projection), per elastic step one det, per sample
+    two det."""
     cs, pvecs = _mixed_path(truth)
     fs = np.stack([np.linalg.cholesky(c).T for c in cs])  # F with F^T F = C
     calls = {"det": 0, "inverse": 0, "plane det": 0, "plane inverse": 0}
@@ -487,31 +500,31 @@ def test_step_kernel_tensor_call_counts(material, truth, monkeypatch):
     n_plastic = sum(plastic)
     assert 0 < n_plastic < len(plastic) == len(fs) - 1
     assert calls["det"] == 1 and calls["inverse"] == 1
-    assert calls["plane inverse"] == n_plastic
+    assert calls["plane inverse"] == len(plastic) + len(fs)
     assert calls["plane det"] == (len(plastic) - n_plastic) + 3 * n_plastic + 2 * len(fs)
 
 
 def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
     """Nothing is stored and None is returned; every sample arrives, in
-    order, as a fresh (M, 3, 3) array equal bit for bit to that sample of
-    the (M, T, 3, 3) history a collector stored from a separate call, and
-    overwriting it changes nothing."""
+    order, as a fresh (5, M) array of plane rows equal bit for bit to that
+    sample of the (M, T, 3, 3) history a collector stored from a separate
+    call, and overwriting it changes nothing."""
     prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
     pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.5] * 6, [1.5] * 6])
     stored = stored_cauchy(fs, prog.times(), material, pvecs, n_sub=2)
     assert stored.shape == (len(pvecs), len(fs), 3, 3)
     streamed = []
 
-    def sink(i, cauchy):
-        streamed.append((i, cauchy.copy()))
-        cauchy[...] = np.nan
+    def sink(i, t):
+        streamed.append((i, t.copy()))
+        t[...] = np.nan
 
     assert constitutive.cauchy_response(fs, prog.times(), material, pvecs, n_sub=2,
                                         sink=sink) is None
     assert [i for i, _ in streamed] == list(range(len(fs)))
-    for i, cauchy in streamed:
-        assert cauchy.shape == (len(pvecs), 3, 3)
-        assert np.array_equal(cauchy, stored[:, i])
+    for i, t in streamed:
+        assert t.shape == (5, len(pvecs))
+        assert np.array_equal(_full(t), stored[:, i])
 
 
 # ---------------------------------------------------------------------------
@@ -519,22 +532,24 @@ def test_cauchy_response_sink_streams_the_stored_rows(material, truth):
 
 
 def test_run_path_state_sink(material, truth):
-    """The sink gets the carried state once per sample, in order: the
-    identity state at i = 0 and, at the last sample, run_path's return."""
+    """The sink gets the state once per sample, in order: the identity
+    state at i = 0 and, at the last sample, the state a separate call ends
+    in; run_path itself returns None."""
     prog, fs = torsion_program(0.5, [0.12, -0.08, 0.15], 30, 60.0)
     pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.5] * 6, [1.5] * 6])
     calls = []
-    final = run_path(fs, prog.times(), material, pvecs, n_sub=2,
-                     sink=lambda i, state: calls.append((i, state)))
+    assert run_path(fs, prog.times(), material, pvecs, n_sub=2,
+                    sink=lambda i, state: calls.append((i, state))) is None
     assert [i for i, _ in calls] == list(range(len(fs)))
-    S, S_inv, s, sd = calls[0][1]
-    assert S.shape == S_inv.shape == (5, 3, len(pvecs))
+    S, s, sd = calls[0][1]
+    assert S.shape == (5, 3, len(pvecs))
     identity = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3))
-    assert np.array_equal(_full(S), identity) and np.array_equal(_full(S_inv), identity)
+    assert np.array_equal(_full(S), identity)
     assert np.all(s == 0.0) and np.all(sd == 0.0)
-    S, S_inv, s, sd = calls[-1][1]
+    S, s, sd = calls[-1][1]
     assert np.all(s > 0.0)
-    for got, want in zip((*_full(S), s, sd), final):
+    final = _last_state(fs, prog.times(), material, pvecs, n_sub=2)
+    for got, want in zip((S, s, sd), final):
         assert np.array_equal(got, want)
 
 
@@ -573,11 +588,11 @@ def test_drive_equals_the_reference_formula(material):
 # the plane kernel against the general 3x3 step it replaced
 
 
-def _ref_trial(C, S, S_inv, mat, c1, c2, r):
+def _ref_trial(C, S, mat, c1, c2, r):
     lhs = np.empty_like(S)
     lhs[0] = C
     lhs[1:] = S[0]
-    dev = tensors.deviator(tensors.unimodular(np.matmul(lhs, S_inv)))
+    dev = tensors.deviator(tensors.unimodular(np.matmul(lhs, tensors.inverse(S))))
     dev[0] = (
         mat.mu * dev[0]
         - 0.5 * np.asarray(c1)[..., None, None] * dev[1]
@@ -619,12 +634,12 @@ def _ref_project_metric(a):
 
 
 def _ref_advance(state, C_new, mat, hp, dt):
-    """The batched 3x3 step: state (S, S_inv, s, sd) with S = [Ci, C1i, C2i]
-    as a (3, M, 3, 3) stack."""
-    S, S_inv, s, sd = state
+    """The batched 3x3 step: state (S, s, sd) with S = [Ci, C1i, C2i] as a
+    (3, M, 3, 3) stack."""
+    S, s, sd = state
     gam, bet, c1, c2, kap1, kap2 = hp
     s_e = s - sd
-    dev, drive, f_trial = _ref_trial(C_new, S, S_inv, mat, c1, c2, gam * s_e)
+    dev, drive, f_trial = _ref_trial(C_new, S, mat, c1, c2, gam * s_e)
     xi, dev_b1, dev_b2 = dev
     plastic = f_trial > 0.0
     if not plastic.any():
@@ -646,7 +661,6 @@ def _ref_advance(state, C_new, mat, hp, dt):
     ds = dt * SQ23 * lam
     return (
         np.where(mask, S_new, S),
-        np.where(mask, tensors.inverse(S_new), S_inv),
         np.where(plastic, s + ds, s),
         np.where(plastic, sd + bet * ds * s_e, sd),
     )
@@ -656,7 +670,7 @@ def _ref_cauchy(fs, times, material, pvecs, n_sub):
     """(T, M, 3, 3) Cauchy stresses from the 3x3 step and push-forward."""
     hp = _hp_arrays(pvecs)
     S = np.broadcast_to(np.eye(3), (3, len(pvecs), 3, 3)).copy()
-    state = (S, tensors.inverse(S), np.zeros(len(pvecs)), np.zeros(len(pvecs)))
+    state = (S, np.zeros(len(pvecs)), np.zeros(len(pvecs)))
     out = []
     for i in range(len(times)):
         for j in range(1, n_sub + 1) if i else ():
@@ -665,7 +679,8 @@ def _ref_cauchy(fs, times, material, pvecs, n_sub):
             state = _ref_advance(state, f_sub.T @ f_sub, material, hp,
                                  (times[i] - times[i - 1]) / n_sub)
         c = fs[i].T @ fs[i]
-        t = _pk2_kernel(tensors.inverse(c), np.matmul(c, state[1][0]), material.k, material.mu)
+        t = _pk2_kernel(tensors.inverse(c), np.matmul(c, tensors.inverse(state[0][0])),
+                        material.k, material.mu)
         out.append(tensors.sym(np.matmul(fs[i], np.matmul(t, fs[i].T)) / np.linalg.det(fs[i])))
     return np.stack(out)
 
@@ -707,13 +722,31 @@ def test_plane_kernel_matches_the_3x3_reference(material, truth, keys, n_sub, ro
 
     states = []
     run_path(fs, times, material, pvecs, n_sub=n_sub,
-             sink=lambda i, state: states.append((_full(state[0]), state[2], state[3])))
+             sink=lambda i, state: states.append((_full(state[0]), *state[1:])))
     assert np.all(states[-1][1] > 0.0)
     for i, (S, s, sd) in enumerate(states):
         for row in range(len(pvecs)):
             state = InternalState(S[0, row], S[1, row], S[2, row], float(s[row]), float(sd[row]))
             single = stress_state(fs[i], state, material).cauchy
             assert np.max(np.abs(got[i, row] - single)) <= 1e-10 * scale
+
+
+def test_streamed_plane_rows_are_symmetric(material, truth):
+    """Every streamed (5, M) sample has row xy equal to row yx bit for bit:
+    the response reads row xy, and the Frobenius gap counts both rows. The
+    path mixes shear with stretches, so F is not symmetric."""
+    keys = [("shear", 0.1), (0, 1.1), ("shear", -0.06), (1, 0.93)]
+    keypoints = [np.eye(3)] + [_plane_keypoint(*k) for k in keys]
+    history = DeformationHistory(tuple((50.0 * i, f) for i, f in enumerate(keypoints)))
+    times, fs = history.grid(80)
+    pvecs = truth.as_vector()[None, :] * np.array([[1.0] * 6, [0.0] * 6, [2.0] * 6])
+    streamed = []
+    cauchy_response(fs, times, material, pvecs, n_sub=2, sink=lambda i, t: streamed.append(t))
+    assert len(streamed) == len(fs)
+    assert np.any(np.stack(streamed)[:, 1] != 0.0)
+    for t in streamed:
+        assert t.shape == (5, len(pvecs))
+        assert np.array_equal(t[1], t[2])
 
 
 @pytest.mark.parametrize("entry", [(0, 2), (1, 2), (2, 0), (2, 1)])

@@ -13,10 +13,11 @@ from vpident import (
     dist_mechanics,
     mechanics_distances,
 )
+from vpident import metric
 from vpident.errors import ZeroReferenceParameter
 from vpident.loading import DeformationHistory
 
-from conftest import metric_trajectories
+from conftest import _full, metric_trajectories
 
 
 def perturbed(base, rng, scale=0.1):
@@ -150,6 +151,25 @@ def test_dist_mechanics_equals_the_stored_trajectory_formula(truth, mech_spec, m
         diff = out[0] - out[1]
         expected = float(np.max(np.sqrt(np.sum(diff * diff, axis=(-2, -1)))))
         assert dist_mechanics(p1, p2, spec) == expected
+
+
+def test_plane_gap_sum_equals_the_3x3_sum(mech_spec, monkeypatch):
+    """On random symmetric plane stresses the scorer's squared gap, summed
+    over the five rows, equals np.sum over the 3x3 gap bit for bit: the rows
+    are added in the order numpy adds the nonzero 3x3 entries, which keeps
+    seeded cloud sizes byte-identical. One sample, so no maximum hides a
+    sum."""
+    rng = np.random.default_rng(23)
+    t = rng.standard_normal((5, 64)) * 10.0 ** rng.uniform(-2.0, 3.0, (5, 64))
+    t[2] = t[1]
+
+    def streaming(f, times, material, rows, sink):
+        sink(0, t.copy())
+
+    monkeypatch.setattr(metric, "cauchy_response", streaming)
+    got = metric._max_gaps(mech_spec, np.zeros((64, 6)), 64)
+    gap = _full(t[:, :, None] - t[:, None, :])
+    assert np.array_equal(got, np.sqrt(np.sum(gap**2, axis=(-2, -1))))
 
 
 def test_cloud_scoring_stores_no_stress_history(truth, material):

@@ -16,6 +16,13 @@ def test_model_validation():
         NoiseModel("pink")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["sigma", "sigma1", "sigma2"])
+def test_model_rejects_non_finite_sigmas(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        NoiseModel("two_source" if name != "sigma" else "white", **{name: value})
+
+
 def test_white_zero_sigma_is_zero():
     exp = np.linspace(1.0, 5.0, 20)
     assert np.all(sample_noise(NoiseModel.white(0.0), exp, 1) == 0.0)

@@ -229,6 +229,17 @@ def test_normalized_variances_zero_reference():
         normalized_variances(np.ones((3, 6)), np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
 
 
+def test_cloud_reports_a_zero_reference_before_a_vanishing_column():
+    """A zero gamma also zeroes gamma's Jacobian column; the cloud names the
+    zero reference, not the singular normal matrix."""
+    jac = np.random.default_rng(3).standard_normal((8, 6))
+    jac[:, 0] = 0.0
+    lin = LinearizedModel(np.array([0.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.ones(8), jac)
+    with pytest.raises(ZeroReferenceParameter):
+        monte_carlo_cloud(lin, WeightingScheme.identity(8), NoiseModel.white(1.0), np.ones(8),
+                          3, 1, metrics={})
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo cloud
 
