@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -118,7 +119,8 @@ def _require_covariance(kind: str, noise_model: NoiseModel) -> None:
 
 
 def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel) -> WeightingScheme:
-    """Materialize a weighting strategy against a concrete data vector.
+    """Materialize a weighting strategy against a concrete data vector, in
+    O(N) time and memory.
 
     A covariance that is exactly zero (noise-free configuration) makes the
     inverse-covariance strategies undefined; every SPD weighting is then
@@ -129,27 +131,26 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     if kind == "identity":
         return WeightingScheme.identity(len(observations))
     cov = covariance(noise_model, observations)
-    if not np.any(cov):
+    if not (cov.white or cov.shared):
         return WeightingScheme.identity(len(observations))
     if kind == "diag_inverse_cov":
-        var = np.diag(cov)
-        if not np.all(var > 0.0):
-            raise FactorizationFailure(f"noise variance of sample {np.argmin(var > 0.0)} is zero "
-                                       "and has no inverse")
+        var = cov.diagonal()
+        small = var < 1.0 / np.finfo(float).max  # zero, or its inverse overflows
+        if np.any(small):
+            i = int(np.argmax(small))
+            what = ("is zero and has no inverse" if var[i] == 0.0
+                    else f"is {float(var[i])!r} and has no finite inverse")
+            raise FactorizationFailure(f"noise variance of sample {i} {what}")
         return WeightingScheme.diagonal(1.0 / var)
     if kind == "full_inverse_cov":
-        # In place, to hold as few N x N matrices at once as possible. numpy
-        # buffers the overlapping inv.T, so the sum equals inv + inv.T.
-        try:
-            inv = np.linalg.inv(cov)
-            del cov
-            if not np.isfinite(np.max(np.abs(inv))):  # a singular cov can invert without an error
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            raise FactorizationFailure("noise covariance is singular and has no inverse") from None
-        inv += inv.T
-        inv *= 0.5
-        return WeightingScheme.full(inv)
+        # Cov = white (I + t u u^T) with u = s / |s|: a white part that
+        # underflows, or whose inverse or rank-one ratio t overflows, leaves
+        # it singular in floating point
+        precision = 1.0 / cov.white if cov.white > 0.0 else math.inf
+        t = cov.shared * precision * float(cov.s @ cov.s)
+        if not (math.isfinite(precision) and math.isfinite(t)):
+            raise FactorizationFailure("noise covariance is singular and has no inverse")
+        return WeightingScheme.rank_one_inverse(np.full(len(cov.s), precision), cov.s, t)
     raise ConfigError(f"unknown weighting kind {kind!r}")
 
 

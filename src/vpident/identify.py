@@ -58,12 +58,13 @@ class WeightingScheme:
     """Symmetric positive definite weighting of the residual.
 
     Identity and diagonal weightings store only the diagonal (identity is
-    the diagonal of ones); the dense matrix is only materialized on
-    request. A full matrix is checked for positive definiteness by its
-    Cholesky factorization on construction, and that factor R (R^T R = W)
-    is kept as the whitening factor: any factor M with M^T M = W defines
-    the same functional, which the tests pin down. apply(), quadratic()
-    and matrix() use the stored W itself.
+    the diagonal of ones). The inverse of a diagonal-plus-rank-one
+    covariance stores the diagonal D, a unit vector u and the scalar t of
+    W = D^1/2 (I + t u u^T)^-1 D^1/2, all in O(N). A full matrix is checked
+    for positive definiteness by its Cholesky factorization on
+    construction, and that factor R (R^T R = W) is kept as the whitening
+    factor: any factor M with M^T M = W defines the same functional, which
+    the tests pin down. The dense matrix is only materialized on request.
     """
 
     def __init__(self, diag: np.ndarray | None = None, full: np.ndarray | None = None):
@@ -71,6 +72,7 @@ class WeightingScheme:
             raise ValueError("a weighting needs exactly one of a diagonal and a full matrix")
         self._diag = None
         self._full = None
+        self._u = None
         if diag is not None:
             d = np.asarray(diag, dtype=float)
             if d.ndim != 1:
@@ -106,6 +108,30 @@ class WeightingScheme:
     def full(cls, matrix) -> "WeightingScheme":
         return cls(full=matrix)
 
+    @classmethod
+    def rank_one_inverse(cls, diag, direction, t: float) -> "WeightingScheme":
+        """The inverse of the covariance D^-1/2 (I + a a^T) D^-1/2, with D =
+        diag(diag), a = sqrt(t) u and u = direction / |direction|. By
+        Sherman-Morrison it is W = D^1/2 (I - gamma a a^T) D^1/2 with gamma =
+        1 / (1 + t), and it whitens with R = (I - delta u u^T) D^1/2, delta =
+        1 - sqrt(gamma), so that R^T R = W. t = 0 leaves the diagonal
+        weighting D."""
+        scheme = cls(diag=diag)
+        if not 0.0 <= t < np.inf:
+            raise FactorizationFailure("rank-one weight must be finite and >= 0")
+        if t == 0.0:
+            return scheme
+        u = scheme._check(direction)
+        norm = np.linalg.norm(u)
+        if u.ndim != 1 or not 0.0 < norm < np.inf:
+            raise FactorizationFailure("rank-one direction must be a finite nonzero vector")
+        root = np.sqrt(1.0 + t)
+        scheme._u = u / norm
+        scheme._v = np.sqrt(scheme._diag) * scheme._u  # W = D - c v v^T
+        scheme._c = t / (1.0 + t)  # 1 - gamma, without cancellation
+        scheme._delta = t / (1.0 + t + root)  # 1 - sqrt(gamma), likewise
+        return scheme
+
     @property
     def n(self) -> int:
         return len(self._diag if self._full is None else self._full)
@@ -118,29 +144,43 @@ class WeightingScheme:
 
     def matrix(self) -> np.ndarray:
         """Materialize W as a dense array."""
-        return np.diag(self._diag) if self._full is None else self._full.copy()
+        if self._full is not None:
+            return self._full.copy()
+        w = np.diag(self._diag)
+        if self._u is not None:
+            w -= self._c * np.outer(self._v, self._v)
+        return w
 
     def quadratic(self, resid: np.ndarray) -> float:
         """Resid^T W Resid."""
         r = self._check(resid)
-        if self._full is None:
-            return float(r @ (self._diag * r))
-        return float(r @ (self._full @ r))
+        if self._full is not None:
+            return float(r @ (self._full @ r))
+        if self._u is not None:
+            rw = self.whiten(r)
+            return float(rw @ rw)
+        return float(r @ (self._diag * r))
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """R x (R^T R = W) for a vector or column-stacked matrix."""
         x = self._check(x)
-        if self._full is None:
-            s = np.sqrt(self._diag)
-            return s * x if x.ndim == 1 else s[:, None] * x
-        return self._root @ x
+        if self._full is not None:
+            return self._root @ x
+        s = np.sqrt(self._diag)
+        y = s * x if x.ndim == 1 else s[:, None] * x
+        if self._u is not None:
+            y -= self._delta * np.multiply.outer(self._u, self._u @ y)
+        return y
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """W x for a vector or column-stacked matrix."""
         x = self._check(x)
-        if self._full is None:
-            return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
-        return self._full @ x
+        if self._full is not None:
+            return self._full @ x
+        y = self._diag * x if x.ndim == 1 else self._diag[:, None] * x
+        if self._u is not None:
+            y -= self._c * np.multiply.outer(self._v, self._v @ x)
+        return y
 
 
 def model_response(p, fixed: MaterialParams, program: StrainProgram) -> np.ndarray:
@@ -171,7 +211,9 @@ FD_ABS_FLOOR = 1.0e-8
 #: Levenberg-Marquardt termination and damping. LM_TOL_G applies to the
 #: whitened gradient measured on unit-column-scaled parameters (so it is
 #: meaningful across mixed parameter units), LM_TOL_F to the relative
-#: decrease of the error functional on accepted steps.
+#: decrease of the error functional on accepted steps, and to the decrease
+#: an undamped Gauss-Newton step promises once the damping passes
+#: LM_LAMBDA_MAX.
 LM_TOL_G = 1.0e-8
 LM_TOL_F = 1.0e-12
 LM_MAX_ITER = 200
@@ -335,6 +377,15 @@ def fit_least_squares(
             lam *= LM_LAMBDA_FACTOR
             history.append((it, phi_new, lam, False))
         if not accepted:
+            # The damping ran out. At a minimum reached to round-off every
+            # trial can come out above phi; the fit has converged if an
+            # undamped Gauss-Newton step promises no relative decrease of
+            # more than LM_TOL_F.
+            try:
+                decrement = g_free @ np.linalg.solve(a_free, g_free)
+            except np.linalg.LinAlgError:
+                decrement = np.inf
+            converged = bool(decrement <= LM_TOL_F * phi)
             break
         if converged:
             break

@@ -8,7 +8,8 @@ Three additive noise models on a stress vector Exp:
 * two_source(sigma1, sigma2): independent white errors plus one shared
   normal amplitude scaling the signal shape Exp / max|Exp| (miscalibration
   type errors), giving the covariance
-  Cov_ij = sigma1^2 delta_ij + sigma2^2 Exp_i Exp_j / max|Exp|^2.
+  Cov_ij = sigma1^2 delta_ij + sigma2^2 Exp_i Exp_j / max|Exp|^2,
+  identity plus rank one, which covariance() holds in O(N).
 
 All draws come from a counter-based Philox generator keyed by the seed, so
 identical (model, exp, seed) inputs reproduce bit-identical noise on any
@@ -105,19 +106,40 @@ def has_covariance(model: NoiseModel) -> bool:
     return model.kind != "ar"
 
 
-def covariance(model: NoiseModel, exp: np.ndarray) -> np.ndarray:
-    """Exact N x N noise covariance of a model with has_covariance()."""
+@dataclass(frozen=True, eq=False)
+class Covariance:
+    """The noise covariance white * I + shared * s s^T of a signal shape s,
+    held in O(N): white noise has shared = 0 (and s = 0), two-source noise
+    white = sigma1^2, shared = sigma2^2 and s = Exp / max|Exp|.
+
+    numpy reads it as the dense N x N matrix through the array protocol,
+    so np.asarray(cov) materializes it on request."""
+
+    white: float
+    shared: float
+    s: np.ndarray
+
+    def diagonal(self) -> np.ndarray:
+        """The N variances."""
+        return self.white + self.shared * (self.s * self.s)
+
+    def __array__(self, dtype=None, copy=None):
+        # built fresh on every call, so copy=False is never refused
+        dense = self.white * np.eye(len(self.s)) + self.shared * np.outer(self.s, self.s)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def covariance(model: NoiseModel, exp: np.ndarray) -> Covariance:
+    """Exact noise covariance of a model with has_covariance()."""
     exp = np.asarray(exp, dtype=float)
     if exp.ndim != 1 or len(exp) == 0:
         raise DegenerateData("signal must be a non-empty vector")
     if not has_covariance(model):
         raise UnsupportedModel(f"no closed-form covariance is provided for the "
                                f"{model.kind.upper()} model")
-    n = len(exp)
     if model.kind == "white":
-        return model.sigma**2 * np.eye(n)
+        return Covariance(model.sigma**2, 0.0, np.zeros(len(exp)))
     peak = np.max(np.abs(exp))
     if peak == 0.0:
         raise DegenerateData("two-source covariance needs a nonzero signal")
-    shape = exp / peak
-    return model.sigma1**2 * np.eye(n) + model.sigma2**2 * np.outer(shape, shape)
+    return Covariance(model.sigma1**2, model.sigma2**2, exp / peak)

@@ -321,7 +321,7 @@ def test_criterion_09_noise_statistics():
     model = NoiseModel.two_source(1.5, 2.5)
     draws = sample_noise_matrix(model, exp, SEED + 2, n)
     sample_cov = draws.T @ draws / n
-    exact = covariance(model, exp)
+    exact = np.asarray(covariance(model, exp))
     var_i = np.diag(exact)
     se_cov = 3.0 * np.sqrt((np.outer(var_i, var_i) + exact**2) / n)
     cov_ok = bool(np.all(np.abs(sample_cov - exact) <= se_cov))

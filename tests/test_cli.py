@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpident import metric
 from vpident.cli import _metric_specs, main, read_data_file, read_param_file, write_param_file
@@ -251,6 +253,71 @@ def test_identify_full_weighting_needs_no_eigendecomposition(small_config, tmp_p
                  "--weighting", "full_inv_cov", "--out", out]) == 0
 
 
+def damping_exhausted(out: str) -> bool:
+    """fit_log.csv ends with an iteration whose every trial was rejected
+    until the damping passed LM_LAMBDA_MAX."""
+    from vpident.identify import LM_LAMBDA_MAX
+
+    with open(os.path.join(out, "fit_log.csv")) as handle:
+        rows = [line.split(",") for line in handle.read().splitlines()[1:]]
+    last = [row for row in rows if row[0] == rows[-1][0]]
+    return not any(row[3] == "1" for row in last) and float(last[-1][2]) > LM_LAMBDA_MAX
+
+
+#: a 200-point record with two-source noise (10, 5) fitted from 1.2 x truth
+STALL = {
+    "material": {"k": 135600.0, "mu": 52000.0, "eta": 5.0e5, "m": 2.26, "K": 335.0, "k0": 1.0},
+    "truth_hardening": {"gamma": 435.22, "beta": 2.625, "c1": 1661.7, "c2": 24672.0,
+                        "kappa1": 0.003810, "kappa2": 0.004282},
+    "program": {"max_shear": 0.5, "targets": [0.25, -0.2, 0.3], "n_points": 200,
+                "duration": 500.0},
+    "noise": {"kind": "two_source", "sigma1": 10.0, "sigma2": 5.0},
+    "history_duration": 400.0,
+}
+
+
+def test_identify_exhausted_damping_at_a_minimum_converges(tmp_path):
+    """On the seed-7651 record the LM reaches the minimum to round-off and
+    then rejects every trial until the damping passes LM_LAMBDA_MAX. An
+    undamped Gauss-Newton step there promises a decrease below LM_TOL_F of
+    phi, so the fit has converged: exit 0, converged=1."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(STALL))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(path), "--with-noise", "--seed", "7651",
+                 "--out", out]) == 0
+    assert main(["identify", os.path.join(out, "experiment.csv"), "--config", str(path),
+                 "--weighting", "full_inv_cov", "--out", out]) == 0
+    assert damping_exhausted(out)
+    with open(os.path.join(out, "fit_params.csv")) as handle:
+        assert "converged,1\n" in handle.read()
+
+
+def test_identify_exhausted_damping_away_from_a_minimum_exits_4(small_config, tmp_path,
+                                                                 monkeypatch):
+    """A fit whose damping runs out where an undamped Gauss-Newton step
+    still promises a large decrease has not converged: exit 4. Every row
+    but the start is shifted by a constant, which leaves the Jacobian
+    exact but rejects every trial step."""
+    from vpident import identify
+
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", small_config, "--with-noise", "--out", out]) == 0
+    start = load_config(small_config).start.as_vector()
+    batch = identify.model_response_batch
+
+    def shifted(pvecs, fixed, program):
+        away = np.any(pvecs != start, axis=1)
+        return batch(pvecs, fixed, program) + 1000.0 * away[:, None]
+
+    monkeypatch.setattr(identify, "model_response_batch", shifted)
+    assert main(["identify", os.path.join(out, "experiment.csv"), "--config", small_config,
+                 "--weighting", "full_inv_cov", "--out", out]) == 4
+    assert damping_exhausted(out)
+    with open(os.path.join(out, "fit_params.csv")) as handle:
+        assert "converged,0\n" in handle.read()
+
+
 def test_identify_rejects_short_data(small_config, tmp_path):
     path = tmp_path / "short.csv"
     rows = ["strain,stress"] + [f"0.00{i},{i}.0" for i in range(5)]
@@ -305,18 +372,112 @@ def test_montecarlo_reproducible_byte_for_byte(small_config, tmp_path):
             read_bytes(os.path.join(outs[1], fname))
 
 
+def test_full_weighting_cloud_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """With the O(N) weighting, a seeded full inverse-covariance cloud and
+    its summary have the same bytes on one and on two BLAS threads (the
+    dense inverse rounded differently with the thread count)."""
+    import subprocess
+    import sys
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"history_steps": 80}))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        out = str(tmp_path / f"threads{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "vpident.cli", "montecarlo", "--config", str(config),
+             "--weighting", "full_inv_cov", "--instances", "20", "--history", "1",
+             "--seed", "4", "--out", out],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for fname in ("cloud_full_inverse_cov.csv", "mc_summary.csv"):
+        assert read_bytes(os.path.join(outs[0], fname)) == \
+            read_bytes(os.path.join(outs[1], fname))
+
+
 def test_full_inverse_cov_weighting_is_the_symmetrized_inverse():
-    """build_weighting symmetrizes inv(cov) in place; the matrix must equal
-    0.5 (inv + inv.T) bit for bit. At sigma1 << sigma2 the round-off
-    asymmetry of inv(cov) exceeds the symmetry tolerance of the scheme."""
+    """build_weighting inverts the two-source covariance by Sherman-Morrison
+    instead of forming 0.5 (inv + inv.T). At sigma1 = 10 its W equals that
+    dense symmetrized inverse within rtol 1e-12, entry by entry. At sigma1
+    << sigma2, where round-off dominates the dense inverse, W Cov lies no
+    farther from the identity than the dense inverse times Cov does."""
     from vpident.cli import build_weighting
     from vpident.noise import NoiseModel, covariance
 
     exp = 300.0 * np.sin(np.linspace(0.0, 6.0, 200))
-    for model in (NoiseModel.two_source(10.0, 5.0), NoiseModel.two_source(0.01, 5.0)):
-        inv = np.linalg.inv(covariance(model, exp))
-        scheme = build_weighting("full_inverse_cov", exp, model)
-        assert np.array_equal(scheme.matrix(), 0.5 * (inv + inv.T))
+    model = NoiseModel.two_source(10.0, 5.0)
+    inv = np.linalg.inv(np.asarray(covariance(model, exp)))
+    scheme = build_weighting("full_inverse_cov", exp, model)
+    assert np.allclose(scheme.matrix(), 0.5 * (inv + inv.T), rtol=1e-12, atol=0.0)
+
+    model = NoiseModel.two_source(0.01, 5.0)
+    cov = np.asarray(covariance(model, exp))
+    inv = np.linalg.inv(cov)
+    scheme = build_weighting("full_inverse_cov", exp, model)
+    eye = np.eye(len(exp))
+    assert (np.linalg.norm(scheme.apply(cov) - eye)
+            <= np.linalg.norm(0.5 * (inv + inv.T) @ cov - eye))
+
+
+signals = st.lists(st.one_of(st.just(0.0), st.floats(-400.0, 400.0)), min_size=2,
+                   max_size=40).filter(lambda xs: any(xs))
+log_sigmas = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(signal=signals, sigma1=log_sigmas, sigma2=st.one_of(st.just(0.0), log_sigmas),
+       seed=st.integers(0, 2**16))
+def test_full_weighting_matches_the_dense_inverse(signal, sigma1, sigma2, seed):
+    """The O(N) full inverse-covariance weighting agrees with the dense
+    inverse of np.asarray(covariance(...)) in apply, quadratic and whiten
+    (R^T R = W), down to sigma1 << sigma2 and signals with zeros. The
+    tolerance grows with the condition number of the covariance, which
+    bounds the round-off of the dense inverse."""
+    from vpident.cli import build_weighting
+    from vpident.noise import NoiseModel, covariance
+
+    exp = np.array(signal)
+    model = NoiseModel.two_source(sigma1, sigma2)
+    cov = np.asarray(covariance(model, exp))
+    inv = np.linalg.inv(cov)
+    scheme = build_weighting("full_inverse_cov", exp, model)
+    tol = 1e-13 * np.linalg.cond(cov) * np.linalg.norm(inv, 2)
+    x = np.random.default_rng(seed).standard_normal((len(exp), 3))
+    assert np.linalg.norm(scheme.apply(x) - inv @ x) <= tol * np.linalg.norm(x)
+    assert np.allclose([scheme.quadratic(c) for c in x.T], [c @ inv @ c for c in x.T],
+                       rtol=0.0, atol=tol * np.max(np.sum(x * x, axis=0)))
+    root = scheme.whiten(np.eye(len(exp)))
+    assert np.linalg.norm(root.T @ root - inv) <= tol
+    # R^T R is W itself to round-off, whatever the conditioning
+    w = scheme.matrix()
+    assert np.linalg.norm(root.T @ root - w) <= 1e-13 * np.linalg.norm(w, 2)
+
+
+def test_full_weighting_build_holds_no_dense_matrix():
+    """At N = 3000 one dense N x N matrix takes 72 MB; the full
+    inverse-covariance weighting is built, and whitens and weights a
+    Jacobian, in under 1 MB of peak allocation."""
+    import tracemalloc
+
+    from vpident.cli import build_weighting
+    from vpident.noise import NoiseModel
+
+    exp = 300.0 * np.sin(np.linspace(0.0, 6.0, 3000))
+    jac = np.ones((3000, 6))
+    tracemalloc.start()
+    try:
+        scheme = build_weighting("full_inverse_cov", exp, NoiseModel.two_source(10.0, 5.0))
+        scheme.whiten(jac)
+        scheme.apply(jac)
+        scheme.quadratic(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_montecarlo_integrates_the_base_point_once(small_config, tmp_path, monkeypatch):
@@ -497,6 +658,30 @@ def test_non_finite_inverse_fails_identify_and_montecarlo_alike(tmp_path, capsys
                  "--instances", "5", "--history", "1", "--out", str(out)]) == 5
     assert capsys.readouterr().err == error
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_subnormal_white_variance_fails_both_inverse_weightings(tmp_path, capsys):
+    """At sigma1 = 1e-160, sigma1^2 is subnormal and 1/sigma1^2 overflows.
+    full_inv_cov exits 5 with the singular-covariance message in both
+    commands; diag_inv_cov (and with it --weighting all) exits 5 naming the
+    zero-signal sample, whose variance has no finite inverse. No numpy
+    warning is raised (tier-1 turns RuntimeWarning into an error)."""
+    path, data = two_source_config(tmp_path, 1e-160)
+    capsys.readouterr()
+    singular = "numerical failure: noise covariance is singular and has no inverse\n"
+    subnormal = ("numerical failure: noise variance of sample 0 is 1e-320 and has no finite "
+                 "inverse\n")
+    runs = [(["identify", data, "--weighting", "full_inv_cov"], singular),
+            (["montecarlo", "--weighting", "full_inv_cov"], singular),
+            (["identify", data, "--weighting", "diag_inv_cov"], subnormal),
+            (["montecarlo", "--weighting", "all"], subnormal)]
+    for i, (argv, error) in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        if argv[0] == "montecarlo":
+            argv = argv + ["--instances", "5", "--history", "1"]
+        assert main(argv + ["--config", path, "--out", str(out)]) == 5
+        assert capsys.readouterr().err == error
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_montecarlo_all_schemes_fail_before_the_first_cloud(tmp_path, capsys):

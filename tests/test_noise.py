@@ -81,6 +81,33 @@ def test_covariance_direct_formula():
     assert np.allclose(cov, np.array([[2.0, 2.0], [2.0, 5.0]]), rtol=1e-14)
 
 
+@pytest.mark.parametrize("model", [NoiseModel.white(3.0), NoiseModel.white(0.0),
+                                   NoiseModel.two_source(1.5, 2.5),
+                                   NoiseModel.two_source(0.01, 5.0),
+                                   NoiseModel.two_source(2.0, 0.0)])
+def test_structured_covariance_is_the_dense_formula_bit_for_bit(model):
+    """covariance() holds white * I + shared * s s^T in O(N); numpy reads
+    the dense matrix of the closed form, and diagonal() its np.diag, with
+    the same bits (signed zeros included). A signal with zeros and negative
+    samples gives off-diagonal products of both signs."""
+    exp = np.array([0.0, -2.0, 3.0, 0.0, 4.0, -1.0, 1e-3])
+    n = len(exp)
+    if model.kind == "white":
+        dense = model.sigma**2 * np.eye(n)
+    else:
+        shape = exp / np.max(np.abs(exp))
+        dense = model.sigma1**2 * np.eye(n) + model.sigma2**2 * np.outer(shape, shape)
+    cov = covariance(model, exp)
+    assert np.asarray(cov).tobytes() == dense.tobytes()
+    assert cov.diagonal().tobytes() == np.diag(dense).tobytes()
+    # what callers of the dense matrix do with it
+    assert np.diag(cov).tobytes() == np.diag(dense).tobytes()
+    assert np.asarray(cov, dtype=np.float32).dtype == np.float32
+    if model.sigma or model.sigma1:
+        rhs = np.arange(2.0 * n).reshape(n, 2)
+        assert np.linalg.solve(cov, rhs).tobytes() == np.linalg.solve(dense, rhs).tobytes()
+
+
 def test_covariance_ar_unsupported():
     with pytest.raises(UnsupportedModel):
         covariance(NoiseModel.ar(0.5, 1.0), np.ones(4))
@@ -111,7 +138,7 @@ def test_two_source_sample_covariance_matches_formula():
     draws = 100_000
     samples = sample_noise_matrix(model, exp, 3, draws)
     sample_cov = samples.T @ samples / draws
-    exact = covariance(model, exp)
+    exact = np.asarray(covariance(model, exp))
     # entrywise within 3 standard errors of the estimator
     var_i = np.diag(exact)
     se = 3.0 * np.sqrt((np.outer(var_i, var_i) + exact**2) / draws)
