@@ -154,30 +154,22 @@ def build_weighting(kind: str, observations: np.ndarray, noise_model: NoiseModel
     raise ConfigError(f"unknown weighting kind {kind!r}")
 
 
-def _metric_specs(cfg: RunConfig, history_ids=None) -> dict:
-    ids = cfg.histories if history_ids is None else history_ids
-    specs = {}
-    for h in ids:
-        if h not in (1, 2):
-            raise ConfigError(f"unknown benchmark history {h!r} (use 1 or 2)")
-        specs[h] = MetricSpec(
-            benchmark_history(h, duration=cfg.history_duration),
-            cfg.material,
-            n_steps=cfg.history_steps,
-        )
-    return specs
+def _metric_specs(cfg: RunConfig) -> dict:
+    return {h: MetricSpec(benchmark_history(h, duration=cfg.history_duration),
+                          cfg.material, n_steps=cfg.history_steps)
+            for h in cfg.histories}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig, with_noise: bool, out_dir: str) -> int:
+def cmd_simulate(cfg: RunConfig, with_noise: bool) -> int:
     response = model_response(cfg.truth, cfg.material, cfg.program)
     stresses = response
     if with_noise:
         stresses = response + sample_noise(cfg.noise, response, cfg.master_seed)
-    path = os.path.join(out_dir, "experiment.csv")
+    path = os.path.join(cfg.output_dir, "experiment.csv")
     write_data_file(path, cfg.program.shear_values, stresses)
     print(f"wrote {path} ({cfg.program.n_points} rows, "
           f"{'noisy' if with_noise else 'noise-free'}, seed {cfg.master_seed})")
@@ -190,13 +182,13 @@ def _program_for_data(cfg: RunConfig, data: ExperimentData) -> StrainProgram:
     return StrainProgram(shear_values=data.abscissae, duration=cfg.program.duration)
 
 
-def cmd_identify(cfg: RunConfig, data_path: str, out_dir: str) -> int:
+def cmd_identify(cfg: RunConfig, data_path: str) -> int:
     data = read_data_file(data_path)
     program = _program_for_data(cfg, data)
     scheme = build_weighting(cfg.weighting, data.observations, cfg.noise)
     fit = levenberg_marquardt(cfg.start, data, scheme, cfg.material, program)
     write_param_file(
-        os.path.join(out_dir, "fit_params.csv"),
+        os.path.join(cfg.output_dir, "fit_params.csv"),
         fit.params,
         extra={
             "phi": fit.phi,
@@ -206,7 +198,7 @@ def cmd_identify(cfg: RunConfig, data_path: str, out_dir: str) -> int:
         },
     )
     _write_csv(
-        os.path.join(out_dir, "fit_log.csv"),
+        os.path.join(cfg.output_dir, "fit_log.csv"),
         ["iteration", "phi", "damping", "accepted"],
         [(it, phi, lam, int(acc)) for it, phi, lam, acc in fit.history],
     )
@@ -221,25 +213,24 @@ def write_cloud(path: str, report: CloudReport) -> None:
     _write_csv(path, list(PARAM_NAMES), report.cloud.tolist())
 
 
-def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
-                   history_ids, params_path: str | None) -> int:
+def cmd_montecarlo(cfg: RunConfig, schemes: list, params_path: str | None) -> int:
     base = read_param_file(params_path) if params_path else cfg.truth
     for kind in schemes:  # before the linearization and the first draw
         _require_covariance(kind, cfg.noise)
     _nonzero_reference(base)
     lin = linearize_at(base, cfg.material, cfg.program)
     exp = lin.mod_star
-    metrics = _metric_specs(cfg, history_ids)
+    metrics = _metric_specs(cfg)
     # every weighting before the first cloud: a failing scheme leaves no output
     weightings = {kind: build_weighting(kind, exp, cfg.noise) for kind in schemes}
 
     summary_rows = []
     for kind, scheme in weightings.items():
-        report = monte_carlo_cloud(lin, scheme, cfg.noise, exp, instances, cfg.master_seed,
-                                   metrics=metrics)
-        cloud_path = os.path.join(out_dir, f"cloud_{kind}.csv")
+        report = monte_carlo_cloud(lin, scheme, cfg.noise, exp, cfg.n_instances,
+                                   cfg.master_seed, metrics=metrics)
+        cloud_path = os.path.join(cfg.output_dir, f"cloud_{kind}.csv")
         write_cloud(cloud_path, report)
-        row = [kind, cfg.master_seed, instances]
+        row = [kind, cfg.master_seed, cfg.n_instances]
         row += [report.size_per_history[h] for h in sorted(metrics)]
         row += list(report.variances)
         row += [int(report.outside_cone.sum())]
@@ -251,16 +242,16 @@ def cmd_montecarlo(cfg: RunConfig, schemes: list, instances: int, out_dir: str,
               + [f"size_history_{h}" for h in sorted(metrics)]
               + [f"var_{name}" for name in PARAM_NAMES]
               + ["outside_cone"])
-    summary_path = os.path.join(out_dir, "mc_summary.csv")
+    summary_path = os.path.join(cfg.output_dir, "mc_summary.csv")
     _write_csv(summary_path, header, summary_rows)
     print(f"wrote {summary_path}")
     return 0
 
 
-def cmd_distance(cfg: RunConfig, p1_path: str, p2_path: str, history_ids) -> int:
+def cmd_distance(cfg: RunConfig, p1_path: str, p2_path: str) -> int:
     p1 = read_param_file(p1_path)
     p2 = read_param_file(p2_path)
-    specs = _metric_specs(cfg, history_ids)
+    specs = _metric_specs(cfg)
     print(f"euclidean: {dist_euclidean(p1, p2)!r}")
     print(f"euclidean_nondim (reference = configured truth): "
           f"{dist_euclidean_nondim(p1, p2, cfg.truth)!r}")
@@ -308,7 +299,7 @@ def _parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--instances", type=int, help="number of noise instances")
     p_mc.add_argument("--weighting", choices=sorted(WEIGHTING_ALIASES) + ["all"],
                       help="weighting strategy, or 'all' for a comparison table")
-    p_mc.add_argument("--history", type=int, action="append", choices=(1, 2),
+    p_mc.add_argument("--history", type=int, action="append",
                       help="benchmark history id (repeatable)")
     p_mc.add_argument("--params", metavar="PATH",
                       help="base parameter file (default: configured truth)")
@@ -326,31 +317,26 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        overrides = {"master_seed": getattr(args, "seed", None)}
-        if getattr(args, "out", None):
-            overrides["output_dir"] = args.out
-        if getattr(args, "instances", None) is not None:
-            overrides["n_instances"] = args.instances
-        if getattr(args, "workers", None) is not None:
-            overrides["workers"] = args.workers
-        if getattr(args, "weighting", None) and args.weighting != "all":
-            overrides["weighting"] = WEIGHTING_ALIASES[args.weighting]
-        cfg = load_config(args.config, overrides=overrides)
-        out_dir = cfg.output_dir
+        weighting = getattr(args, "weighting", None)
+        # a flag left out is None, which keeps the file's value; so is "all"
+        cfg = load_config(args.config, overrides={
+            "master_seed": args.seed,
+            "output_dir": args.out,
+            "n_instances": getattr(args, "instances", None),
+            "workers": getattr(args, "workers", None),
+            "weighting": WEIGHTING_ALIASES.get(weighting),
+            "histories": getattr(args, "history", None),
+        })
 
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.with_noise, out_dir)
+            return cmd_simulate(cfg, args.with_noise)
         if args.command == "identify":
-            return cmd_identify(cfg, args.data, out_dir)
+            return cmd_identify(cfg, args.data)
         if args.command == "montecarlo":
-            if getattr(args, "weighting", None) == "all":
-                schemes = list(WEIGHTING_ALIASES.values())
-            else:
-                schemes = [cfg.weighting]
-            return cmd_montecarlo(cfg, schemes, cfg.n_instances, out_dir,
-                                  args.history, args.params)
+            schemes = list(WEIGHTING_ALIASES.values()) if weighting == "all" else [cfg.weighting]
+            return cmd_montecarlo(cfg, schemes, args.params)
         if args.command == "distance":
-            return cmd_distance(cfg, args.p1, args.p2, args.history)
+            return cmd_distance(cfg, args.p1, args.p2)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

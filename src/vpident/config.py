@@ -1,9 +1,10 @@
-"""Run configuration: JSON file, environment overrides, strict validation.
+"""Run configuration: JSON file, command-line overrides, strict validation.
 
-A run is fully described by one config file; command-line flags win over
-environment variables (prefix VPIDENT_), which win over the file, which
-falls back to the built-in defaults. Unknown keys anywhere are rejected
-with their field path so a typo cannot silently fall back to a default.
+A run is fully described by one config file and its command-line flags:
+flags win over the file, which falls back to the built-in defaults. Every
+value, however it arrives, is checked once, by materialize(). Unknown keys
+anywhere are rejected with their field path so a typo cannot silently fall
+back to a default.
 
 The default material constants are a pre-identified set for a quenched and
 tempered 42CrMo4-type steel; the default hardening values act as the
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,8 +31,6 @@ WEIGHTING_ALIASES = {
     "diag_inv_cov": "diag_inverse_cov",
     "full_inv_cov": "full_inverse_cov",
 }
-
-ENV_PREFIX = "VPIDENT_"
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "material": {
@@ -241,28 +239,8 @@ def materialize(raw: dict) -> RunConfig:
     )
 
 
-def _env_overrides(environ) -> dict:
-    out: dict[str, Any] = {}
-    mapping = {
-        "SEED": ("master_seed", int),
-        "INSTANCES": ("n_instances", int),
-        "WEIGHTING": ("weighting", str),
-        "OUT": ("output_dir", str),
-        "WORKERS": ("workers", int),
-    }
-    for suffix, (key, cast) in mapping.items():
-        value = environ.get(ENV_PREFIX + suffix)
-        if value is not None:
-            try:
-                out[key] = cast(value)
-            except ValueError:
-                raise ConfigError(f"environment variable {ENV_PREFIX}{suffix}: cannot parse {value!r}")
-    return out
-
-
-def load_config(path: str | None = None, overrides: dict | None = None,
-                environ=None) -> RunConfig:
-    """Load defaults, the optional JSON file, environment, then overrides."""
+def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
+    """Load defaults, the optional JSON file, then the overrides."""
     file_dict: dict = {}
     if path is not None:
         try:
@@ -275,8 +253,6 @@ def load_config(path: str | None = None, overrides: dict | None = None,
         if not isinstance(file_dict, dict):
             raise ConfigError("config file must contain a JSON object")
     merged = _merge(DEFAULT_CONFIG, file_dict)
-    env = _env_overrides(os.environ if environ is None else environ)
-    merged.update({k: v for k, v in env.items()})
     if overrides:
         for key, value in overrides.items():
             if value is None:

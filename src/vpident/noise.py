@@ -38,8 +38,10 @@ class NoiseModel:
         if self.kind not in ("white", "ar", "two_source"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("sigma", "sigma1", "sigma2"):
-            if not 0.0 <= getattr(self, name) < np.inf:  # also false on NaN
-                raise ValueError(f"{name} must be finite and >= 0")
+            value = getattr(self, name)
+            # false on NaN, and on a value whose variance overflows
+            if not (0.0 <= value and value * value < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0, with a finite square")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("autoregression coefficient must lie in [0, 1)")
 

@@ -65,24 +65,48 @@ def test_invalid_value_reports_field_path(tmp_path):
         load_config(str(path))
 
 
-def test_env_overrides(tmp_path):
-    cfg = load_config(None, environ={"VPIDENT_SEED": "77", "VPIDENT_INSTANCES": "12"})
-    assert cfg.master_seed == 77
-    assert cfg.n_instances == 12
-    with pytest.raises(ConfigError):
-        load_config(None, environ={"VPIDENT_SEED": "notanint"})
+def test_environment_does_not_configure_a_run(small_config, tmp_path, monkeypatch, capsys):
+    """A run is its config file and its flags: variables named like the
+    retired VPIDENT_* overrides change nothing."""
+    ref = tmp_path / "ref"
+    assert main(["simulate", "--with-noise", "--config", small_config, "--seed", "5",
+                 "--out", str(ref)]) == 0
+    env_out = tmp_path / "env_out"
+    for name, value in [("SEED", "77"), ("INSTANCES", "12"), ("WEIGHTING", "identity"),
+                        ("OUT", str(env_out)), ("WORKERS", "0")]:  # 0 fails validation if read
+        monkeypatch.setenv("VPIDENT_" + name, value)
+    cfg = load_config(None)
+    assert cfg.master_seed == DEFAULT_CONFIG["master_seed"]
+    assert cfg.n_instances == DEFAULT_CONFIG["n_instances"]
+    assert cfg.weighting == DEFAULT_CONFIG["weighting"]
+    assert cfg.output_dir == DEFAULT_CONFIG["output_dir"]
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps({**SMALL, "master_seed": 5}))
+    out = tmp_path / "sim"
+    capsys.readouterr()
+    assert main(["simulate", "--with-noise", "--config", str(config), "--out", str(out)]) == 0
+    assert "seed 5" in capsys.readouterr().out
+    assert read_bytes(out / "experiment.csv") == read_bytes(ref / "experiment.csv")
+    assert not env_out.exists()
 
 
-def test_negative_seed_is_a_config_error(small_config, tmp_path, monkeypatch, capsys):
+def test_negative_seed_is_a_config_error(small_config, tmp_path, capsys):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", small_config, "--seed", "-1", "--out", out]) == 2
     assert "master_seed" in capsys.readouterr().err
     path = tmp_path / "neg.json"
     path.write_text(json.dumps({**SMALL, "master_seed": -3}))
     assert main(["simulate", "--config", str(path), "--out", out]) == 2
-    monkeypatch.setenv("VPIDENT_SEED", "-1")
-    assert main(["simulate", "--config", small_config, "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_empty_out_flag_is_a_config_error(small_config, tmp_path, monkeypatch, capsys):
+    """A flag passes the config's check like the file value it overrides:
+    --out "" is rejected, not replaced by the configured directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", small_config, "--out", ""]) == 2
+    assert "output_dir" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_boolean_history_rejected(tmp_path):
@@ -136,7 +160,7 @@ def test_config_value_sweep(key_path, tmp_path):
             raw = {key: raw}
         path.write_text(json.dumps(raw))
         try:
-            cfg = load_config(str(path), environ={})
+            cfg = load_config(str(path))
         except ConfigError:
             continue
         assert all(np.isfinite(x) for x in _numbers(cfg)), (key_path, value)
@@ -684,6 +708,26 @@ def test_subnormal_white_variance_fails_both_inverse_weightings(tmp_path, capsys
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_overflowing_variance_is_a_config_error(tmp_path, capsys):
+    """sigma2 = 1e200 is finite, but its square is not: every command exits
+    2 naming noise, with no traceback, no numpy warning and no CSV."""
+    _, data = two_source_config(tmp_path, 10.0)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**SMALL, "noise": {"kind": "two_source", "sigma1": 10.0,
+                                                   "sigma2": 1e200}}))
+    capsys.readouterr()
+    error = ("configuration error: noise: sigma2 must be finite and >= 0, with a finite "
+             "square\n")
+    runs = [["simulate", "--with-noise"], ["identify", data],
+            ["identify", data, "--weighting", "identity"],
+            ["montecarlo", "--instances", "5", "--history", "1"]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+
 def test_montecarlo_all_schemes_fail_before_the_first_cloud(tmp_path, capsys):
     """Under --weighting all, a scheme whose weighting cannot be built
     (diag_inv_cov with a zero noise variance) ends the run with exit 5
@@ -729,7 +773,7 @@ def test_distance_different_parameter_sets(small_config, tmp_path, capsys, truth
     from vpident import HardeningParams
     other = HardeningParams(321.92, 2.003, 1488.4, 20512.0, 0.004087, 0.004526)
     write_param_file(str(p2), other)
-    specs = _metric_specs(load_config(small_config), [1, 2])
+    specs = _metric_specs(load_config(small_config, overrides={"histories": [1, 2]}))
     expected = {h: repr(dist_mechanics(truth, other, spec)) for h, spec in specs.items()}
     calls = []
 
@@ -749,11 +793,18 @@ def test_distance_different_parameter_sets(small_config, tmp_path, capsys, truth
     assert calls == [3, 3]
 
 
-def test_distance_unknown_history(small_config, tmp_path, truth):
+def test_distance_unknown_history(small_config, tmp_path, truth, capsys):
+    """The config is the one check of a --history id, for every command."""
     p = tmp_path / "p.csv"
     write_param_file(str(p), truth)
-    assert main(["distance", str(p), str(p), "--config", small_config,
-                 "--history", "3"]) == 2
+    out = tmp_path / "out"
+    for argv in (["distance", str(p), str(p)],
+                 ["montecarlo", "--instances", "2", "--history", "1"]):
+        assert main(argv + ["--config", small_config, "--history", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "histories: unknown benchmark history 3 (use 1 or 2)" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "p.csv"]
 
 
 def test_param_file_roundtrip(tmp_path, truth):

@@ -16,7 +16,7 @@ def test_model_validation():
         NoiseModel("pink")
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])  # 1e200: its square overflows
 @pytest.mark.parametrize("name", ["sigma", "sigma1", "sigma2"])
 def test_model_rejects_non_finite_sigmas(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
